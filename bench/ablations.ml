@@ -907,16 +907,17 @@ let a12 () =
     | Ok linked -> linked
     | Error e -> failwith (Format.asprintf "%a" Linker.pp_link_error e)
   in
-  let certificate =
+  let proof =
     match Linker.Linked.certificate linked with
-    | Some c when Certificate.fully_certified c -> c
+    | Some c when Certificate.fully_certified c -> List.hd c.Certificate.proofs
     | Some _ | None -> failwith "a12: no fully certified certificate"
   in
   let scoped_ok () =
     Kernel.certificate_admits kernel ~caller:"caller" ~subject:alice_sub store
   in
+  (* The handle rule: the same stamp, with the db generation compared. *)
   let genexact_ok () =
-    scoped_ok () && Principal.Db.generation db = certificate.Certificate.db_generation
+    scoped_ok () && Stamp.fresh (Kernel.monitor kernel) proof.Certificate.stamp
   in
   let batches = 100 and batch_size = 100 in
   let scoped_survived = ref 0 and genexact_survived = ref 0 in

@@ -704,7 +704,11 @@ let certs_cmd =
       "";
     check "generation-exact revalidation would have revoked"
       (match Kernel.certificate_of kernel "front" with
-      | Some c -> c.Certificate.db_generation <> Principal.Db.generation db
+      | Some c ->
+        List.exists
+          (fun (proof : Certificate.import_proof) ->
+            not (Stamp.fresh (Kernel.monitor kernel) proof.Certificate.stamp))
+          c.Certificate.proofs
       | None -> false)
       "";
     (* Delegation: narrowing meet, recorded depth, capped chain. *)

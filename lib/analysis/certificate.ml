@@ -3,8 +3,7 @@ open Exsec_core
 type import_proof = {
   import : Path.t;
   verdict : Verdict.t;
-  target_id : int;
-  chain : (Meta.t * int) list;
+  stamp : Stamp.t;
 }
 
 type cover = {
@@ -48,8 +47,6 @@ type dep = {
 
 type t = {
   extension : string;
-  epoch : int;
-  db_generation : int;
   issued_at : int;
   expires_at : int option;
   profile : profile option;
@@ -65,17 +62,17 @@ type t = {
    ACL entries on the proved chains, and an is_member answer through
    such a group can change only after an edit to a group in its
    member-edge closure (Principal.Db.group_closure) — so revalidating
-   these stamps is exactly as strong as the old whole-database
-   generation compare for this certificate, while churn anywhere else
-   revokes nothing.  ACL *content* changes are outside this set on
-   purpose: they bump the owning node's Meta generation, which the
-   per-chain generation sweep in [admits] already catches. *)
+   these stamps is exactly as strong as the whole-database generation
+   compare handles make, while churn anywhere else revokes nothing.
+   ACL *content* changes are outside this set on purpose: they bump
+   the owning node's Meta generation, which the proof's Stamp already
+   catches. *)
 let deps_of ~db proofs =
   let seen : (Principal.group, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun proof ->
       List.iter
-        (fun ((meta : Meta.t), _generation) ->
+        (fun (meta : Meta.t) ->
           List.iter
             (fun (entry : Acl.entry) ->
               match entry.Acl.who with
@@ -87,7 +84,7 @@ let deps_of ~db proofs =
                       Hashtbl.add seen member (Principal.Db.dirty_stamp db member))
                   (Principal.Db.group_closure db group))
             (Acl.entries meta.Meta.acl))
-        proof.chain)
+        (Stamp.metas proof.stamp))
     proofs;
   Hashtbl.fold (fun dep_group dep_stamp acc -> { dep_group; dep_stamp } :: acc) seen []
   |> List.sort (fun a b -> Principal.compare_group a.dep_group b.dep_group)
@@ -102,13 +99,6 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     ?expiry_cap ~now ~extension ~imports () =
   let db = Reference_monitor.db monitor in
   let policy = Reference_monitor.policy monitor in
-  (* Pre-read every generation the proof depends on (the same
-     data-then-generation discipline as Decision_cache): a concurrent
-     mutation then lands a higher generation than the one recorded
-     here, and [admits] rejects. *)
-  let stamp = Reference_monitor.stamp monitor in
-  let epoch = stamp.Reference_monitor.stamp_epoch in
-  let db_generation = stamp.Reference_monitor.stamp_db_generation in
   let cover_ceilings =
     List.filter_map
       (fun principal ->
@@ -143,34 +133,23 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     | Some profile -> profile_admits_path profile import
   in
   let prove_import import =
-    match Namespace.chain namespace import with
-    | None -> { import; verdict = Verdict.Depends; target_id = -1; chain = [] }
-    | Some nodes ->
-      let chain =
-        List.map
-          (fun node ->
-            let meta = Namespace.meta node in
-            meta, Meta.generation meta)
-          nodes
-      in
-      let metas = List.map fst chain in
-      let verdict =
-        if cover_ceilings = [] || (not mode_admitted) || not (path_admitted import)
-        then Verdict.Depends
-        else
-          Verdict.all
-            (List.map
-               (fun (cover, static_class) ->
-                 Certify.prove_path ~db ~registry ~policy ?static_class
-                   ~principal:cover.principal ~chain:metas ~mode:Access_mode.Execute ())
-               cover_ceilings)
-      in
-      let target_id =
-        match List.rev metas with
-        | target :: _ -> target.Meta.id
-        | [] -> -1
-      in
-      { import; verdict; target_id; chain }
+    (* The stamp is read before proving, so a concurrent mutation
+       leaves the proof born stale rather than wrongly valid. *)
+    let stamp = Stamp.read monitor namespace import in
+    let verdict =
+      match Stamp.metas stamp with
+      | [] -> Verdict.Depends
+      | _ when cover_ceilings = [] || (not mode_admitted) || not (path_admitted import) ->
+        Verdict.Depends
+      | chain ->
+        Verdict.all
+          (List.map
+             (fun (cover, static_class) ->
+               Certify.prove_path ~db ~registry ~policy ?static_class
+                 ~principal:cover.principal ~chain ~mode:Access_mode.Execute ())
+             cover_ceilings)
+    in
+    { import; verdict; stamp }
   in
   let proofs = List.map prove_import imports in
   let expires_at =
@@ -186,8 +165,6 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   in
   {
     extension;
-    epoch;
-    db_generation;
     issued_at = now;
     expires_at;
     profile;
@@ -272,55 +249,49 @@ let covered certificate subject =
       && Option.equal Security_class.equal cover.integrity (Subject.integrity subject))
     certificate.covers
 
-let deps_valid certificate ~db =
+(* [issued] is the database generation the admitting proof's stamp
+   pre-read.  A dependency stamped above it means a mutation was in
+   flight while the proof ran: the proof was born stale and must never
+   admit.  Otherwise the group admits while its stamp has not moved —
+   every later effective edit stamps it strictly above the published
+   generation at edit time, which is at least [issued]. *)
+let deps_valid certificate ~db ~issued =
   List.for_all
     (fun dep ->
-      (* A stamp above the issue-time generation means a mutation was
-         in flight while the proof ran: the certificate was born stale
-         and must never admit.  Otherwise the group admits while its
-         stamp has not moved — every later effective edit stamps it
-         strictly above the published generation at edit time, which
-         is at least the issue-time generation. *)
-      dep.dep_stamp <= certificate.db_generation
-      && Principal.Db.dirty_stamp db dep.dep_group = dep.dep_stamp)
+      dep.dep_stamp <= issued && Principal.Db.dirty_stamp db dep.dep_group = dep.dep_stamp)
     certificate.deps
 
-let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
-  Reference_monitor.policy_epoch monitor = certificate.epoch
-  && (not (expired certificate ~now))
-  && deps_valid certificate ~db:(Reference_monitor.db monitor)
+let admits certificate ~monitor ~subject ?(now = max_int) path =
+  (not (expired certificate ~now))
   &&
   match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
   | None -> false
   | Some proof ->
     Verdict.equal proof.verdict Verdict.Always_allow
-    && List.for_all
-         (fun (meta, generation) -> Meta.generation meta = generation)
-         proof.chain
-    && (match Namespace.find namespace path with
-       | Ok node -> (Namespace.meta node).Meta.id = proof.target_id
-       | Error _ -> false)
+    && Stamp.fresh_except_db monitor proof.stamp
+    && deps_valid certificate ~db:(Reference_monitor.db monitor)
+         ~issued:(Stamp.db_generation proof.stamp)
     && covered certificate subject
 
 let pp ppf certificate =
-  Format.fprintf ppf "@[<v>certificate for %s (epoch %d, db generation %d"
-    certificate.extension certificate.epoch certificate.db_generation;
+  Format.fprintf ppf "@[<v>certificate for %s (" certificate.extension;
   (match certificate.profile with
-  | Some profile -> Format.fprintf ppf ", profile %s" profile.profile_name
+  | Some profile -> Format.fprintf ppf "profile %s, " profile.profile_name
   | None -> ());
   (match certificate.expires_at with
   | Some horizon ->
-    Format.fprintf ppf ", issued @@%d expires @@%d" certificate.issued_at horizon
+    Format.fprintf ppf "issued @@%d expires @@%d, " certificate.issued_at horizon
   | None -> ());
   (match certificate.delegation with
   | Some delegation ->
-    Format.fprintf ppf ", delegated by %s depth %d" delegation.delegated_by
+    Format.fprintf ppf "delegated by %s depth %d, " delegation.delegated_by
       delegation.depth
   | None -> ());
-  Format.fprintf ppf ", %d dep(s))" (List.length certificate.deps);
+  Format.fprintf ppf "%d dep(s))" (List.length certificate.deps);
   List.iter
     (fun proof ->
-      Format.fprintf ppf "@,  %a: %a" Path.pp proof.import Verdict.pp proof.verdict)
+      Format.fprintf ppf "@,  %a: %a (%a)" Path.pp proof.import Verdict.pp proof.verdict
+        Stamp.pp proof.stamp)
     certificate.proofs;
   Format.fprintf ppf "@]"
 

@@ -15,10 +15,10 @@
     they silently stop admitting as soon as state they depended on
     changes.  The dependency set is {e scoped}:
 
-    - the policy epoch ([set_policy] bumps it);
-    - the metadata generation of every node on each proof chain
-      ([set_acl]/[set_class]/[set_integrity] anywhere on the chain);
-    - the target's metadata identity (delete + recreate under the same
+    - each proof's {!Stamp}: the policy epoch ([set_policy] bumps it)
+      and the metadata generation of every node on the proof chain
+      ([set_acl]/[set_class]/[set_integrity] anywhere on the chain,
+      and removal of the target — so delete + recreate under the same
       name never inherits a proof);
     - the {!Principal.Db.dirty_stamp} of every group the discretionary
       proof could have consulted — the member-edge closure
@@ -29,6 +29,10 @@
       revocation;
     - the validity horizon, when the certificate's profile sets one.
 
+    The stamp's database generation is {e not} compared: the scoped
+    dependency set replaces it, which is what lets a certificate
+    survive unrelated principal churn that revokes every handle.
+
     Every recorded stamp is read {e before} proving, so a concurrent
     mutation lands a value the certificate was not stamped with and it
     is born stale — it fails closed into the fully checked path. *)
@@ -38,10 +42,10 @@ open Exsec_core
 type import_proof = {
   import : Path.t;
   verdict : Verdict.t;
-  target_id : int;  (** {!Meta.t} identity of the resolved target *)
-  chain : (Meta.t * int) list;
-      (** every node consulted on the path, root first, with the
-          metadata generation read {e before} the proof *)
+  stamp : Stamp.t;
+      (** every generation the proof consulted, read {e before} it;
+          unresolved (and the verdict [Depends]) when the path did not
+          resolve *)
 }
 
 type cover = {
@@ -106,8 +110,6 @@ type dep = {
 
 type t = {
   extension : string;
-  epoch : int;  (** {!Reference_monitor.policy_epoch} at issue time *)
-  db_generation : int;  (** {!Principal.Db.generation} at issue time *)
   issued_at : int;  (** kernel certificate epoch at issue time *)
   expires_at : int option;
       (** certificate epoch at which {!admits} stops accepting
@@ -139,7 +141,7 @@ val issue :
     certify (folding [Verdict.all] over zero covers would otherwise
     yield a vacuous [Always_allow]).  [now] is the kernel certificate
     epoch (default [0]) the profile's validity horizon counts from.
-    The epoch and generations are read {e before} proving, so a
+    Each import's {!Stamp} is read {e before} proving it, so a
     concurrent mutation always leaves the certificate unable to
     validate rather than wrongly valid. *)
 
@@ -186,18 +188,18 @@ val covered : t -> Subject.t -> bool
 val admits :
   t ->
   monitor:Reference_monitor.t ->
-  namespace:'a Namespace.t ->
   subject:Subject.t ->
   ?now:int ->
   Path.t ->
   bool
 (** [true] iff the certified fast path may serve this call: the import
-    was proved [Always_allow]; the policy epoch, every chain node
-    generation, and every recorded group dirty stamp are at their
-    issue-time values (a stamp {e above} the issue-time database
-    generation marks a born-stale certificate, which never admits);
-    the certificate has not expired at [now]; the path still resolves
-    to the proved object identity; and [subject] is covered.  [now]
+    was proved [Always_allow]; its proof's {!Stamp} is fresh apart from
+    the database generation ({!Stamp.fresh_except_db}), which also
+    means the path still resolves to the proved object; every recorded
+    group dirty stamp is at its issue-time value (a dirty stamp
+    {e above} the proof stamp's database generation marks a born-stale
+    proof, which never admits); the certificate has not expired at
+    [now]; and [subject] is covered.  [now]
     defaults to [max_int], so a caller that does not track certificate
     epochs fails closed on every expiring certificate.  (The trusted
     bit is irrelevant: certificates cover only read-like modes, which

@@ -85,30 +85,11 @@ let record log ~subject ~object_name ~object_id ~object_class ~mode decision =
       else shard.denied <- shard.denied + 1);
   Metrics.stop_timing m_record_ns t0
 
-let events log =
-  (* Gather each shard's retained events under its own lock, then
-     merge on the global sequence number. *)
-  let collected =
-    Array.fold_left
-      (fun acc shard ->
-        Mutex.protect shard.lock (fun () ->
-            let out = ref acc in
-            for i = shard.cursor - 1 downto Stdlib.max 0 (shard.cursor - log.capacity) do
-              match shard.ring.(i mod log.capacity) with
-              | Some event -> out := event :: !out
-              | None -> ()
-            done;
-            !out))
-      [] log.shards
-  in
-  List.sort (fun a b -> Int.compare a.seq b.seq) collected
-
 (* [tail ~count] gathers at most [count] events per shard — each
    shard's newest are its last, so nothing older than a shard's own
    newest [count] can survive the global merge — then merges and trims
-   once.  Unlike [events] followed by a list walk, the work is
-   O(shards * count) after the per-shard scans, independent of total
-   retention. *)
+   once.  The work is O(shards * count) after the per-shard scans,
+   independent of total retention. *)
 let tail log ~count =
   let count = Stdlib.max 0 count in
   if count = 0 then []
@@ -135,6 +116,11 @@ let tail log ~count =
     if surplus <= 0 then sorted
     else List.filteri (fun i _ -> i >= surplus) sorted
   end
+
+(* Each shard's ring holds its own newest [capacity] events, so their
+   union holds the global newest [capacity]: retention is exactly
+   [capacity] however many shards there are. *)
+let events log = tail log ~count:log.capacity
 
 let fold_shards log init f =
   Array.fold_left

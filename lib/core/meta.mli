@@ -60,6 +60,13 @@ val generation : t -> int
     every [set_*] below.  Never reused within one record, so
     [(id, generation)] names an immutable snapshot of the metadata. *)
 
+val touch : t -> unit
+(** Bump the generation without changing any field.  {!Namespace.remove}
+    calls this on the removed node's metadata, after unlinking it:
+    every decision artifact stamped through the node ({!Stamp}) then
+    goes stale, so a fresh stamp implies its path still resolves to
+    the node it recorded. *)
+
 val set_owner : t -> Principal.individual -> unit
 val set_acl_raw : t -> Acl.t -> unit
 val set_klass_raw : t -> Security_class.t -> unit

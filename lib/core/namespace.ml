@@ -73,9 +73,7 @@ let mem tree target =
   | Error _ -> false
 
 (* The node sequence a checked resolution consults: root, every
-   interior node, then the target — the chain a reusable decision
-   (link-time certificate, capability-handle grant) must stamp with
-   metadata generations. *)
+   interior node, then the target — the chain a Stamp records. *)
 let chain tree target =
   let rec walk node acc = function
     | [] -> Some (List.rev (node :: acc))
@@ -152,9 +150,13 @@ let remove tree target =
         | None -> Error (Not_found target)
         | Some { kind = Dir children; _ } when Hashtbl.length children > 0 ->
           Error (Directory_not_empty target)
-        | Some _ ->
+        | Some node ->
           Hashtbl.remove table name;
           tree.node_count <- tree.node_count - 1;
+          (* Unlink first, bump after (data-then-generation): a stamp
+             that read the old generation goes stale, and one that read
+             the bumped value cannot also see the node linked. *)
+          Meta.touch node.node_meta;
           Ok ())))
 
 let meta node = node.node_meta

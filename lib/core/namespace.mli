@@ -53,14 +53,15 @@ val chain : 'a t -> Path.t -> 'a node list option
 (** The node sequence a checked resolution of the path consults —
     root, every interior node, then the target, in walk order — or
     [None] when the path does not resolve.  This is the set of nodes
-    whose metadata generations a reusable decision (a link-time
-    certificate, a capability-handle grant) must be stamped with:
-    {!Resolver} checks [List] on every node strictly above the target
-    and the caller's mode on the target itself. *)
+    whose metadata generations a reusable decision must be stamped
+    with ({!Stamp}): {!Resolver} checks [List] on every node strictly
+    above the target and the caller's mode on the target itself. *)
 
 val remove : 'a t -> Path.t -> (unit, error) result
 (** Remove a leaf or an {e empty} directory; the root cannot be
-    removed. *)
+    removed.  The removed node's metadata generation is bumped
+    ({!Meta.touch}) after it is unlinked, so every {!Stamp} recorded
+    through the node goes stale. *)
 
 val meta : 'a node -> Meta.t
 val path : 'a node -> Path.t

@@ -63,27 +63,6 @@ let audit monitor = monitor.audit
 let policy_epoch monitor = Atomic.get monitor.policy_epoch
 let cache_stats monitor = Option.map Decision_cache.stats monitor.cache
 
-type stamp = {
-  stamp_epoch : int;
-  stamp_db_generation : int;
-}
-
-(* The global half of the state a reusable decision (a link-time
-   certificate, a capability-handle grant) depends on.  Read BEFORE
-   the dependent computation, per the data-then-generation discipline:
-   a mutation racing with the computation then lands its bump above
-   the values recorded here, so the derived artifact is born stale and
-   fails closed on its next validation, never wrongly valid. *)
-let stamp monitor =
-  {
-    stamp_epoch = Atomic.get monitor.policy_epoch;
-    stamp_db_generation = Principal.Db.generation monitor.db;
-  }
-
-let stamp_valid monitor stamp =
-  Atomic.get monitor.policy_epoch = stamp.stamp_epoch
-  && Principal.Db.generation monitor.db = stamp.stamp_db_generation
-
 (* The discretionary layer runs on the compiled decision path: the
    object's ACL, compiled to flat mode-mask arrays and cached on its
    metadata (see Acl_compiled / Meta.compiled_acl), answers in a few

@@ -54,37 +54,14 @@ val audit : t -> Audit.t
 
 val policy_epoch : t -> int
 (** The current policy epoch: a monotone counter bumped by every
-    {!set_policy}.  Link-time certificates (see [Exsec_analysis]) are
-    stamped with the epoch they were proved under and stop admitting
-    calls as soon as the epoch moves — the same generation-validation
-    scheme the decision cache uses, applied to statically certified
-    extensions. *)
+    {!set_policy}.  Every reusable decision records it in its
+    {!Stamp} and stops validating as soon as it moves — the same
+    generation-validation scheme the decision cache uses. *)
 
 val cache_stats : t -> Decision_cache.stats option
 (** Hit/miss/eviction/invalidation counters and current size of the
     decision cache; [None] when the monitor was created with
     [~cache:false]. *)
-
-type stamp = {
-  stamp_epoch : int;  (** {!policy_epoch} at read time *)
-  stamp_db_generation : int;  (** {!Principal.Db.generation} at read time *)
-}
-(** The global half of the state any reusable decision depends on.
-    Per-object metadata generations are the other half
-    ({!Meta.generation}). *)
-
-val stamp : t -> stamp
-(** Read the global generations, for stamping a decision artifact that
-    will be reused across calls (a link-time certificate, a
-    capability-handle grant).  Call {e before} the dependent
-    computation: a mutation racing with the computation then lands its
-    bump above the recorded values, so the artifact is born stale and
-    fails closed on its next validation instead of wrongly
-    validating. *)
-
-val stamp_valid : t -> stamp -> bool
-(** [true] while neither global generation has moved since the stamp
-    was read. *)
 
 val decide :
   ?span:Exsec_obs.Trace.handle ->

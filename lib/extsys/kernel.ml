@@ -50,12 +50,10 @@ type entry +=
 (* A grant is everything [call] would have computed for one
    (subject, caller, path) triple, captured at mint time: the resolved
    target (with its invocation context prebuilt, so the hot path
-   allocates nothing), plus the exact generation coordinates the
-   admitting decision consulted — the monitor stamp (policy epoch +
-   principal-database generation) and the per-node [Meta] generation
-   of every node on the resolution chain.  [call_handle] may dispatch
-   without re-entering the reference monitor exactly while all of
-   those still hold; any drift fails closed into the checked path. *)
+   allocates nothing), plus the [Stamp] of every generation the
+   admitting decision consulted.  [call_handle] may dispatch without
+   re-entering the reference monitor exactly while the stamp is fresh;
+   any drift fails closed into the checked path. *)
 type grant_target =
   | Grant_proc of Service.proc * Service.ctx
   | Grant_event
@@ -65,14 +63,14 @@ type grant = {
   g_subject : Subject.t;
   g_caller : string;
   g_target : grant_target;
-  g_stamp : Reference_monitor.stamp;
-  g_metas : Meta.t array;  (* resolution chain, root first, target last *)
-  g_gens : int array;  (* generation of each, read before the decision *)
+  g_stamp : Stamp.t;  (* read before the admitting decision *)
   g_cert : bool;
       (* minted on the strength of the caller's certificate rather than
          a monitor decision — revoking or expiring that certificate
          must close this handle (its authority dies with the proof) *)
 }
+
+module Smap = Map.Make (String)
 
 type t = {
   monitor : Reference_monitor.t;
@@ -85,7 +83,10 @@ type t = {
   registry : Clearance.t option;
   mutable next_thread_id : int;
   loaded : (string, Extension.t * Path.t list) Hashtbl.t;
-  certificates : (string, Exsec_analysis.Certificate.t) Hashtbl.t;
+  certificates : Exsec_analysis.Certificate.t Smap.t Atomic.t;
+      (* read by [call] on worker domains, so the table is an immutable
+         map replaced by compare-and-set (as in Quota), never mutated
+         in place *)
   quota : Quota.t;
   handles : grant Handle.t;
   cert_epoch : int Atomic.t;
@@ -158,7 +159,7 @@ let boot ?policy ?audit_capacity ?audit_shards ?cache ?cache_capacity ?registry 
       registry;
       next_thread_id = 0;
       loaded = Hashtbl.create 8;
-      certificates = Hashtbl.create 8;
+      certificates = Atomic.make Smap.empty;
       quota = Quota.create ();
       handles = Handle.create ();
       cert_epoch = Atomic.make 0;
@@ -218,19 +219,32 @@ let install_iface kernel ~subject ~mount ~meta iface impl_of =
 
 (* {1 Invocation} *)
 
+let certificate_of kernel name = Smap.find_opt name (Atomic.get kernel.certificates)
+
 (* The certified fast path: a call may skip the reference monitor when
    the caller holds a link-time certificate that still admits this
-   (subject, path) — proof Always_allow, policy epoch and every
-   consulted generation unchanged, subject inside the proved domain
-   (see Exsec_analysis.Certificate).  A stale certificate fails closed
-   into the fully checked path. *)
+   (subject, path) — proof Always_allow, its stamp and dependency set
+   unchanged, subject inside the proved domain (see
+   Exsec_analysis.Certificate).  A stale certificate fails closed into
+   the fully checked path. *)
 let certificate_admits kernel ~caller ~subject path =
-  match Hashtbl.find_opt kernel.certificates caller with
+  match certificate_of kernel caller with
   | None -> false
   | Some certificate ->
-    Exsec_analysis.Certificate.admits certificate ~monitor:kernel.monitor
-      ~namespace:(Resolver.namespace kernel.resolver) ~subject
+    Exsec_analysis.Certificate.admits certificate ~monitor:kernel.monitor ~subject
       ~now:(Atomic.get kernel.cert_epoch) path
+
+(* The node a call targets.  [checked] runs the full monitor walk;
+   otherwise access was decided at link time (SPIN model) and the call
+   goes straight to the node, no monitor involvement. *)
+let resolve_callee ~span ~checked kernel ~subject path =
+  Result.map_error Service.error_of_denial
+    (if checked then
+       Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
+     else
+       Result.map_error
+         (fun error -> Resolver.Name_error error)
+         (Namespace.find (namespace kernel) path))
 
 let rec make_ctx kernel ~subject ~caller =
   {
@@ -299,22 +313,7 @@ and call_uncharged ~checked ~span kernel ~subject ~caller path args =
     Metrics.incr m_cert_fast_path;
     if Trace.active span then Trace.annotate span "fastpath" "certificate"
   end;
-  let resolved =
-    if checked then
-      match
-        Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
-      with
-      | Ok node -> Ok node
-      | Error denial -> Error (error_of_denial denial)
-    else
-      (* Access was decided at link time (SPIN model): go straight to
-         the node, no monitor involvement. *)
-      match Namespace.find (namespace kernel) path with
-      | Ok node -> Ok node
-      | Error error ->
-        Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-  in
-  match resolved with
+  match resolve_callee ~span ~checked kernel ~subject path with
   | Error e -> Error e
   | Ok node -> (
     match Namespace.payload node with
@@ -339,18 +338,7 @@ let rec broadcast ?(checked = true) kernel ~subject ~caller path args =
   | Ok () -> broadcast_uncharged ~checked kernel ~subject path args
 
 and broadcast_uncharged ~checked kernel ~subject path args =
-  let resolved =
-    if checked then
-      match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
-      | Ok node -> Ok node
-      | Error denial -> Error (error_of_denial denial)
-    else
-      match Namespace.find (namespace kernel) path with
-      | Ok node -> Ok node
-      | Error error ->
-        Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-  in
-  match resolved with
+  match resolve_callee ~span:Trace.none ~checked kernel ~subject path with
   | Error e -> Error e
   | Ok node -> (
     match Namespace.payload node with
@@ -369,24 +357,12 @@ and broadcast_uncharged ~checked kernel ~subject path args =
    [open_handle] runs the full checked resolution once (or reuses a
    still-valid link-time certificate) and files the resulting grant in
    the kernel's handle table.  [call_handle] is then the hot path: one
-   bounds-checked slot probe, one stamp compare, a generation sweep
-   over the recorded chain, dispatch — no path walk, no hashing, no
-   monitor entry and no allocation on the granted path.  Any drift —
-   policy epoch, principal database, or any [Meta] on the chain —
-   fails closed into a fully checked re-resolution that re-mints the
-   slot in place when it still admits the access. *)
-
-(* Top-level (not a local closure) so the hot path stays allocation
-   free: a local [let rec] would capture the arrays in a heap-allocated
-   closure on every call. *)
-let rec chain_fresh metas gens n i =
-  i >= n
-  || Meta.generation (Array.unsafe_get metas i) = Array.unsafe_get gens i
-     && chain_fresh metas gens n (i + 1)
-
-let grant_fresh kernel g =
-  Reference_monitor.stamp_valid kernel.monitor g.g_stamp
-  && chain_fresh g.g_metas g.g_gens (Array.length g.g_metas) 0
+   bounds-checked slot probe, one [Stamp.fresh], dispatch — no path
+   walk, no hashing, no monitor entry and no allocation on the granted
+   path.  Any drift — policy epoch, principal database, any [Meta] on
+   the chain, or removal of the target — fails closed into a fully
+   checked re-resolution that re-mints the slot in place when it still
+   admits the access. *)
 
 (* Preallocated so the use-after-close refusal is itself allocation
    free.  A closed handle denotes no object at all, which is exactly
@@ -406,20 +382,6 @@ let run_grant_proc proc ctx args =
     | Value.Type_error message -> Error (Service.Bad_argument message)
     | Failure message -> Error (Service.Ext_failure message))
 
-(* The pre-read half of a mint: the monitor stamp and the generation
-   of every node on the unchecked chain, captured BEFORE the decision
-   runs.  A mutation racing with the decision then lands a higher
-   generation than the one the grant was filed under, so the grant is
-   born stale rather than wrongly durable (same discipline as the
-   decision cache and compiled-ACL memo). *)
-let chain_snapshot kernel path =
-  let stamp = Reference_monitor.stamp kernel.monitor in
-  match Namespace.chain (namespace kernel) path with
-  | None -> stamp, [||], [||]
-  | Some nodes ->
-    let metas = Array.of_list (List.map Namespace.meta nodes) in
-    stamp, metas, Array.map Meta.generation metas
-
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
     let ctx =
@@ -431,63 +393,39 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some Event -> Some Grant_event
   | Some _ | None -> None
 
-let rec open_handle kernel ~subject ~caller path =
+(* The stamp is read BEFORE the decision, so a mutation racing with it
+   leaves the grant born stale rather than wrongly durable.  That
+   includes a delete + recreate of the target: the removal bumps the
+   stamped node, so no identity check is needed here. *)
+let open_handle kernel ~subject ~caller path =
   Metrics.incr m_handle_opens;
-  let stamp, metas, gens = chain_snapshot kernel path in
-  let target_id =
-    let n = Array.length metas in
-    if n = 0 then -1 else metas.(n - 1).Meta.id
-  in
-  let certified =
-    Array.length metas > 0 && certificate_admits kernel ~caller ~subject path
-  in
-  let admitted =
-    if certified then begin
-      (* The certificate's own validation just re-proved every
-         generation it consulted; our pre-reads happened before that
-         check and generations are monotone, so the snapshot is
-         consistent with the admitting proof. *)
-      Metrics.incr m_handle_cert_mints;
-      `Admitted (Namespace.find (namespace kernel) path)
-    end
-    else
-      match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
-      | Ok node -> `Admitted (Ok node)
-      | Error denial -> `Denied denial
-  in
-  match admitted with
-  | `Denied denial -> Error (Service.error_of_denial denial)
-  | `Admitted (Error error) ->
-    Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-  | `Admitted (Ok node) ->
-    if (Namespace.meta node).Meta.id <> target_id then
-      (* The target changed identity between the snapshot and the
-         decision (delete + recreate race): the snapshot does not
-         describe the node the decision admitted.  Start over. *)
-      open_handle kernel ~subject ~caller path
-    else (
-      match
-        grant_target_of_payload kernel ~subject ~caller ~reuse_ctx:None
-          (Namespace.payload node)
-      with
-      | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
-      | Some g_target ->
-        Ok
-          (Handle.mint kernel.handles
-             { g_path = path; g_subject = subject; g_caller = caller; g_target;
-               g_stamp = stamp; g_metas = metas; g_gens = gens; g_cert = certified }))
+  let stamp = Stamp.read kernel.monitor (namespace kernel) path in
+  let certified = certificate_admits kernel ~caller ~subject path in
+  if certified then Metrics.incr m_handle_cert_mints;
+  match resolve_callee ~span:Trace.none ~checked:(not certified) kernel ~subject path with
+  | Error e -> Error e
+  | Ok node -> (
+    match
+      grant_target_of_payload kernel ~subject ~caller ~reuse_ctx:None
+        (Namespace.payload node)
+    with
+    | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
+    | Some g_target ->
+      Ok
+        (Handle.mint kernel.handles
+           { g_path = path; g_subject = subject; g_caller = caller; g_target;
+             g_stamp = stamp; g_cert = certified }))
 
 (* Stale slow path: re-run the fully checked resolution (audited,
-   cached) under a fresh pre-read snapshot; serve THIS call from the
-   checked decision either way, and refresh the slot in place when the
-   snapshot describes the node the decision admitted. *)
+   cached) under a fresh pre-read stamp, serve THIS call from the
+   checked decision, and refresh the slot in place.  A refresh racing
+   a removal is born stale, like a racing mint. *)
 let call_handle_stale kernel h g args =
-  let stamp, metas, gens = chain_snapshot kernel g.g_path in
+  let stamp = Stamp.read kernel.monitor (namespace kernel) g.g_path in
   match
-    Resolver.resolve kernel.resolver ~subject:g.g_subject ~mode:Access_mode.Execute
-      g.g_path
+    resolve_callee ~span:Trace.none ~checked:true kernel ~subject:g.g_subject g.g_path
   with
-  | Error denial -> Error (Service.error_of_denial denial)
+  | Error e -> Error e
   | Ok node -> (
     let reuse_ctx =
       match g.g_target with Grant_proc (_, ctx) -> Some ctx | Grant_event -> None
@@ -498,17 +436,14 @@ let call_handle_stale kernel h g args =
     with
     | None -> Error (Service.Unresolved (Path.to_string g.g_path ^ ": not callable"))
     | Some g_target ->
-      let n = Array.length metas in
-      if n > 0 && metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id then
-        if
-          Handle.update kernel.handles h
-            (* A re-mint is justified by the fresh monitor decision,
-               not the certificate, so the slot sheds its cert
-               lineage: a later revocation of that certificate need
-               not (and must not) kill an independently checked grant. *)
-            { g with g_target; g_stamp = stamp; g_metas = metas; g_gens = gens;
-              g_cert = false }
-        then Metrics.incr m_handle_reminted;
+      if
+        Handle.update kernel.handles h
+          (* A re-mint is justified by the fresh monitor decision, not
+             the certificate, so the slot sheds its cert lineage: a
+             later revocation of that certificate need not (and must
+             not) kill an independently checked grant. *)
+          { g with g_target; g_stamp = stamp; g_cert = false }
+      then Metrics.incr m_handle_reminted;
       (match g_target with
       | Grant_proc (proc, ctx) -> run_grant_proc proc ctx args
       | Grant_event ->
@@ -523,7 +458,7 @@ let call_handle kernel h args =
       Metrics.incr m_handle_use_closed;
       closed_handle_error
     | Some g ->
-      if grant_fresh kernel g then begin
+      if Stamp.fresh kernel.monitor g.g_stamp then begin
         Metrics.incr m_handle_hits;
         match Quota.charge_call kernel.quota (Subject.principal g.g_subject) with
         | Error denial ->
@@ -636,9 +571,18 @@ let run ?max_quanta kernel = Sched.run ?max_quanta kernel.sched
 let note_loaded kernel extension ~installed =
   Hashtbl.replace kernel.loaded extension.Extension.ext_name (extension, installed)
 
+(* Returns the table this update replaced.  [Smap.remove] of an absent
+   key returns its argument unchanged, which skips the CAS. *)
+let rec update_certificates kernel f =
+  let before = Atomic.get kernel.certificates in
+  let after = f before in
+  if after == before || Atomic.compare_and_set kernel.certificates before after then
+    before
+  else update_certificates kernel f
+
 let forget_loaded kernel name =
   Hashtbl.remove kernel.loaded name;
-  Hashtbl.remove kernel.certificates name;
+  ignore (update_certificates kernel (Smap.remove name));
   (* Capability revocation: every handle the extension held dies with
      it — a recycled slot can never satisfy the old handle (stamp
      mismatch), so use-after-unload is a deterministic denial. *)
@@ -652,53 +596,49 @@ let note_certificate kernel certificate =
   Metrics.incr m_cert_issued;
   if certificate.Exsec_analysis.Certificate.delegation <> None then
     Metrics.incr m_cert_delegations;
-  Hashtbl.replace kernel.certificates
-    certificate.Exsec_analysis.Certificate.extension certificate
+  ignore
+    (update_certificates kernel
+       (Smap.add certificate.Exsec_analysis.Certificate.extension certificate))
 
 (* Retiring a certificate must also retire the handles minted on its
    strength: a grant with [g_cert] set was admitted by the proof, not
    by a monitor decision, and [call_handle] would keep serving it until
    unrelated generation drift.  Handles the extension opened through
-   the checked path keep their independent justification and stay. *)
+   the checked path keep their independent justification and stay.
+   [true] when this call removed the certificate. *)
 let drop_certificate kernel name =
-  Hashtbl.remove kernel.certificates name;
+  let before = update_certificates kernel (Smap.remove name) in
   ignore
     (Handle.close_where kernel.handles (fun g ->
-         g.g_cert && String.equal g.g_caller name))
+         g.g_cert && String.equal g.g_caller name));
+  Smap.mem name before
 
 let revoke_certificate kernel name =
-  if Hashtbl.mem kernel.certificates name then Metrics.incr m_cert_revoked;
-  drop_certificate kernel name
+  if drop_certificate kernel name then Metrics.incr m_cert_revoked
 
-let certificate_of kernel name = Hashtbl.find_opt kernel.certificates name
-
-let certificates kernel =
-  Hashtbl.fold (fun _ certificate acc -> certificate :: acc) kernel.certificates []
-  |> List.sort (fun a b ->
-         String.compare a.Exsec_analysis.Certificate.extension
-           b.Exsec_analysis.Certificate.extension)
+let certificates kernel = List.map snd (Smap.bindings (Atomic.get kernel.certificates))
 
 let cert_epoch kernel = Atomic.get kernel.cert_epoch
 
-(* Eager expiry: collect-then-drop so the table is never mutated while
-   folded over.  The lazy half needs no sweep at all — [admits] carries
-   the current epoch and refuses expired certificates on its own; the
-   sweep exists to reclaim table entries and close cert-minted handles
-   promptly rather than on first use. *)
+(* Drop every certificate of one snapshot of the table that [matches],
+   counting each with [counter]; returns how many this call dropped. *)
+let drop_where kernel counter matches =
+  Smap.fold
+    (fun name certificate dropped ->
+      if matches certificate && drop_certificate kernel name then begin
+        Metrics.incr counter;
+        dropped + 1
+      end
+      else dropped)
+    (Atomic.get kernel.certificates) 0
+
+(* Eager expiry.  The lazy half needs no sweep at all — [admits]
+   carries the current epoch and refuses expired certificates on its
+   own; the sweep exists to reclaim table entries and close cert-minted
+   handles promptly rather than on first use. *)
 let sweep_expired_certificates kernel =
   let now = Atomic.get kernel.cert_epoch in
-  let dead =
-    Hashtbl.fold
-      (fun name certificate acc ->
-        if Exsec_analysis.Certificate.expired certificate ~now then name :: acc else acc)
-      kernel.certificates []
-  in
-  List.iter
-    (fun name ->
-      Metrics.incr m_cert_expired;
-      drop_certificate kernel name)
-    dead;
-  List.length dead
+  drop_where kernel m_cert_expired (Exsec_analysis.Certificate.expired ~now)
 
 let advance_cert_epoch kernel =
   let now = 1 + Atomic.fetch_and_add kernel.cert_epoch 1 in
@@ -709,28 +649,15 @@ let advance_cert_epoch kernel =
    covers or proof chains intersect the revoked principal or path
    prefix — no global epoch bump, so every other certificate, cached
    decision, and handle in the kernel is untouched. *)
-let revoke_where kernel matches =
-  let hit =
-    Hashtbl.fold
-      (fun name certificate acc -> if matches certificate then name :: acc else acc)
-      kernel.certificates []
-  in
-  List.iter
-    (fun name ->
-      Metrics.incr m_cert_revoked;
-      drop_certificate kernel name)
-    hit;
-  List.length hit
-
 let revoke_by_principal kernel principal =
-  revoke_where kernel (fun certificate ->
+  drop_where kernel m_cert_revoked (fun certificate ->
       List.exists
         (fun (cover : Exsec_analysis.Certificate.cover) ->
           Principal.equal_individual cover.principal principal)
         certificate.Exsec_analysis.Certificate.covers)
 
 let revoke_by_prefix kernel prefix =
-  revoke_where kernel (fun certificate ->
+  drop_where kernel m_cert_revoked (fun certificate ->
       List.exists
         (fun (proof : Exsec_analysis.Certificate.import_proof) ->
           Path.is_prefix prefix proof.import)
@@ -740,7 +667,7 @@ let delegate_certificate kernel ~parent ?cap ?profile ~extension ~imports () =
   match kernel.registry with
   | None -> Error "kernel booted without a clearance registry"
   | Some registry -> (
-    match Hashtbl.find_opt kernel.certificates parent with
+    match certificate_of kernel parent with
     | None -> Error (parent ^ ": no certificate to delegate from")
     | Some parent_certificate -> (
       match

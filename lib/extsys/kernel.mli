@@ -160,15 +160,16 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
     The handle fast path: {!open_handle} pays for one fully checked
     resolution (or reuses a still-valid link-time certificate) and
     returns a dense, unforgeable handle pinning the admitted target
-    together with every generation coordinate the decision consulted —
-    policy epoch, principal-database generation, and the [Meta]
-    generation of each node on the resolution chain.  {!call_handle}
-    then dispatches with a bounds-checked slot probe plus a generation
-    sweep: no path walk, no hashing, no monitor entry, and zero
-    allocation on the granted path.  {e Any} drift — [set_policy],
-    group membership, an ACL or class edit anywhere on the chain —
-    fails closed into a fully checked, audited re-resolution, which
-    re-mints the slot in place when the access is still admitted.  A
+    together with the {!Stamp} of every generation the decision
+    consulted — policy epoch, principal-database generation, and the
+    [Meta] generation of each node on the resolution chain.
+    {!call_handle} then dispatches with a bounds-checked slot probe
+    plus {!Stamp.fresh}: no path walk, no hashing, no monitor entry,
+    and zero allocation on the granted path.  {e Any} drift —
+    [set_policy], group membership, an ACL or class edit anywhere on
+    the chain, removal of the target — fails closed into a fully
+    checked, audited re-resolution, which re-mints the slot in place
+    when the access is still admitted.  A
     closed handle (or one whose slot was recycled by a later mint)
     never grants: the stamp compare turns it into a deterministic
     denial. *)
@@ -242,9 +243,9 @@ val loaded_extensions : t -> string list
 
     A certificate lets {!call} skip the reference monitor for an
     import it proved [Always_allow] at link time, as long as the
-    certificate still validates — policy epoch, every consulted
-    metadata generation, and the dirty stamp of every group its proof
-    depended on unchanged, the calling subject inside the proved
+    certificate still validates — the proof's {!Stamp} fresh apart from
+    the database generation, and the dirty stamp of every group its
+    proof depended on unchanged, the calling subject inside the proved
     domain, and the validity horizon (if its profile set one) not yet
     reached at the kernel's certificate epoch.  Stale certificates
     fail closed into the fully checked path;
@@ -271,7 +272,9 @@ val certificate_of : t -> string -> Exsec_analysis.Certificate.t option
 
 val certificates : t -> Exsec_analysis.Certificate.t list
 (** Every certificate currently held, sorted by extension name (the
-    [exsecd certs] listing). *)
+    [exsecd certs] listing).  The table is an immutable map swapped by
+    compare-and-set, so calls on other domains may read it while link,
+    revocation, expiry sweeps and CRL revocation replace it. *)
 
 val cert_epoch : t -> int
 (** The kernel's certificate clock.  Validity horizons

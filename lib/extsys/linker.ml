@@ -36,7 +36,6 @@ module Linked = struct
            the handle pins the link-time (capped) subject, so calls
            through it are exactly the access the link authorized *)
     provided_paths : Path.t list;
-    certificate : Exsec_analysis.Certificate.t option;
     chain_table : (Path.t * Handle.h) list;
         (* provably-redundant transitive call sites (reached through
            other extensions' provides, never imported directly),
@@ -48,7 +47,7 @@ module Linked = struct
   let name linked = linked.extension.Extension.ext_name
   let imports linked = List.map fst linked.import_table
   let provided_paths linked = linked.provided_paths
-  let certificate linked = linked.certificate
+  let certificate linked = Kernel.certificate_of linked.kernel (name linked)
   let chain_imports linked = List.map fst linked.chain_table
 
   let chain_handle linked path =
@@ -358,8 +357,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     in
     let linked =
       {
-        Linked.kernel; extension; import_table; provided_paths = installed;
-        certificate; chain_table;
+        Linked.kernel; extension; import_table; provided_paths = installed; chain_table;
       }
     in
     let finish () =
@@ -392,7 +390,7 @@ let link ?profile kernel ~subject extension =
   (match result with
   | Ok linked ->
     Metrics.incr m_links;
-    if Option.is_some linked.Linked.certificate then Metrics.incr m_certificates
+    if Option.is_some (Linked.certificate linked) then Metrics.incr m_certificates
   | Error _ -> Metrics.incr m_link_failures);
   result
 

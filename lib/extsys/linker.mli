@@ -46,8 +46,10 @@ module Linked : sig
   val provided_paths : t -> Path.t list
 
   val certificate : t -> Exsec_analysis.Certificate.t option
-  (** The link-time certificate issued for this extension's imports —
-      present iff the kernel was booted with a clearance registry.
+  (** The certificate the kernel currently holds for this extension
+      ({!Kernel.certificate_of}) — issued at link time iff the kernel
+      was booted with a clearance registry, and [None] again once it is
+      revoked, expired, CRL-dropped or the extension unloaded.
       Imports proved [Always_allow] are served by the certified fast
       path: {!Kernel.call} skips the reference monitor entirely (even
       under [recheck_calls]) until the certificate stops validating —

@@ -230,13 +230,12 @@ let test_certificate_covers_subjects_only () =
   let linked = link_ok kernel ~subject:alice_sub ext in
   let certificate = Option.get (Linker.Linked.certificate linked) in
   let monitor = Kernel.monitor kernel in
-  let namespace = Kernel.namespace kernel in
   check "covers alice" true
-    (Certificate.admits certificate ~monitor ~namespace ~subject:alice_sub ping);
+    (Certificate.admits certificate ~monitor ~subject:alice_sub ping);
   (* A principal the registry never saw is outside the proved domain. *)
   let stranger = Subject.make (Principal.individual "eve") (Subject.clearance alice_sub) in
   check "stranger not covered" false
-    (Certificate.admits certificate ~monitor ~namespace ~subject:stranger ping);
+    (Certificate.admits certificate ~monitor ~subject:stranger ping);
   (* An integrity label the registration did not carry breaks cover. *)
   let relabeled =
     Subject.make
@@ -244,7 +243,7 @@ let test_certificate_covers_subjects_only () =
       alice (Subject.clearance alice_sub)
   in
   check "different integrity label not covered" false
-    (Certificate.admits certificate ~monitor ~namespace ~subject:relabeled ping)
+    (Certificate.admits certificate ~monitor ~subject:relabeled ping)
 
 (* {1 The lints on a deliberately defective policy} *)
 

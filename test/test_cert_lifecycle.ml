@@ -166,6 +166,23 @@ let test_revoke_closes_handles () =
   | Ok _ -> Alcotest.fail "revoked chain handle still grants"
   | Error e -> Alcotest.failf "chain handle: %s" (Service.error_to_string e))
 
+(* {1 One source of truth for an extension's certificate}
+
+   Linked.certificate reads the kernel table: a revoked, expired or
+   CRL-dropped certificate is gone from the linked view too. *)
+
+let test_linked_certificate_is_the_kernels () =
+  let w = build_world () in
+  check "linked view is the table's entry" true
+    (match Linker.Linked.certificate w.front, Kernel.certificate_of w.kernel "front" with
+    | Some linked, Some held -> linked == held
+    | _ -> false);
+  Kernel.revoke_certificate w.kernel "front";
+  check "None after revoke_certificate" true (Linker.Linked.certificate w.front = None);
+  check "relay unaffected" true (Linker.Linked.certificate w.relay <> None);
+  ignore (Kernel.revoke_by_principal w.kernel w.bob);
+  check "None after CRL revocation" true (Linker.Linked.certificate w.relay = None)
+
 (* {1 Regression: empty registry certifies nothing} *)
 
 let test_empty_registry_proves_nothing () =
@@ -185,8 +202,7 @@ let test_empty_registry_proves_nothing () =
        certificate.Certificate.proofs);
   check "not fully certified" false (Certificate.fully_certified certificate);
   check "admits nothing" false
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
+    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel) ~subject:w.alice_sub store)
 
 (* {1 Scoped invalidation} *)
 
@@ -252,8 +268,7 @@ let test_born_stale_under_batch () =
           ())
   in
   check "born-stale certificate never admits" false
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
+    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel) ~subject:w.alice_sub store)
 
 (* {1 Profiles} *)
 
@@ -312,14 +327,11 @@ let test_expiry () =
   (* Lazy expiry: admits itself refuses at the horizon, sweep or no
      sweep — and the default now fails closed for expiring certs. *)
   check "admits inside the horizon" true
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub ~now:1 fetch);
+    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel) ~subject:w.alice_sub ~now:1 fetch);
   check "admits refuses at the horizon (lazy)" false
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub ~now:2 fetch);
+    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel) ~subject:w.alice_sub ~now:2 fetch);
   check "epoch-ignorant callers fail closed" false
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub fetch);
+    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel) ~subject:w.alice_sub fetch);
   (* Eager sweep at the horizon: table entry reclaimed, chain handle
      closed, the call falls back to the checked path. *)
   check "chain call serves before expiry" true
@@ -764,6 +776,8 @@ let suite =
   [
     Alcotest.test_case "revoke closes certificate-minted handles" `Quick
       test_revoke_closes_handles;
+    Alcotest.test_case "linked certificate is the kernel's" `Quick
+      test_linked_certificate_is_the_kernels;
     Alcotest.test_case "empty registry certifies nothing" `Quick
       test_empty_registry_proves_nothing;
     Alcotest.test_case "scoped deps survive unrelated churn" `Quick test_scoped_survival;

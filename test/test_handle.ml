@@ -9,9 +9,11 @@
    the other, and the two must return structurally identical results —
    across mid-stream ACL edits, group-membership churn, policy-epoch
    bumps and metadata mutation, all applied to both twins in
-   lockstep.  Additionally, every handle-side denial must land a
-   denied audit record: the fast path is never allowed to refuse (or
-   grant) from cache silently. *)
+   lockstep.  Objects are also removed and recreated at the same path
+   with fresh metadata and a new result, so a handle that kept serving
+   the removed target would disagree with the path.  Additionally,
+   every handle-side denial must land a denied audit record: the fast
+   path is never allowed to refuse (or grant) from cache silently. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -43,6 +45,8 @@ type twin = {
 
 type world = {
   db : Principal.Db.t;
+  admin : Principal.individual;
+  mutable recreations : int;  (* distinguishes each recreated object's result *)
   subjects : Subject.t array;
   inds : Principal.individual array;
   grps : Principal.group array;
@@ -53,30 +57,31 @@ type world = {
          (subject index, object index); reopened on demand *)
 }
 
+(* Publish object [i] unchecked (the churn below may have revoked the
+   admin's own rights on /svc) and return its fresh metadata. *)
+let install_obj kernel admin i result =
+  let klasses = classes (Kernel.hierarchy kernel) (Kernel.universe kernel) in
+  let meta =
+    Meta.make ~owner:admin
+      ~acl:
+        (Acl.of_entries
+           [
+             Acl.allow_all (Acl.Individual admin);
+             Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+           ])
+      klasses.(i mod Array.length klasses)
+  in
+  (match
+     Namespace.add_leaf (Kernel.namespace kernel) (obj_path i) ~meta
+       (Kernel.Proc (Service.proc "obj" 0 (Service.const (Value.int result))))
+   with
+  | Ok _ -> ()
+  | Error e -> failwith (Format.asprintf "%a" Namespace.pp_error e));
+  meta
+
 let build_twin db hierarchy universe admin =
   let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
-  let admin_sub = Kernel.admin_subject kernel in
-  let klasses = classes hierarchy universe in
-  let metas =
-    Array.init n_objects (fun i ->
-        let meta =
-          Meta.make ~owner:admin
-            ~acl:
-              (Acl.of_entries
-                 [
-                   Acl.allow_all (Acl.Individual admin);
-                   Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
-                 ])
-            klasses.(i mod Array.length klasses)
-        in
-        (match
-           Kernel.install_proc kernel ~subject:admin_sub (obj_path i) ~meta
-             (Service.proc "obj" 0 (Service.const (Value.int i)))
-         with
-        | Ok () -> ()
-        | Error e -> failwith (Service.error_to_string e));
-        meta)
-  in
+  let metas = Array.init n_objects (fun i -> install_obj kernel admin i i) in
   let dir_meta =
     match Namespace.find (Kernel.namespace kernel) (Path.of_string "/svc") with
     | Ok node -> Namespace.meta node
@@ -106,6 +111,8 @@ let build_world () =
   in
   {
     db;
+    admin;
+    recreations = 0;
     subjects;
     inds;
     grps;
@@ -179,7 +186,7 @@ let policies =
 (* Returns false only when an invariant checked inline (use-after-close
    is a deterministic denial) is violated. *)
 let apply_churn world (kind, a, b) =
-  match kind mod 5 with
+  match kind mod 6 with
   | 0 ->
     (* ACL edit on one object — or on the /svc interior node, which
        must invalidate every handle routed through it. *)
@@ -229,7 +236,7 @@ let apply_churn world (kind, a, b) =
       Meta.set_integrity_raw world.handle_side.metas.(target) label
     end;
     true
-  | _ ->
+  | 4 ->
     (* Close a live handle; the oracle reopens on the next probe.  A
        closed handle must answer the use-after-close denial, never a
        grant and never a foreign result. *)
@@ -242,6 +249,31 @@ let apply_churn world (kind, a, b) =
       (match Kernel.call_handle world.handle_side.kernel h [] with
       | Error (Service.Denied { denial = Decision.Not_an_object; _ }) -> true
       | Ok _ | Error _ -> false))
+  | _ ->
+    (* Remove an object and recreate it at the same path with fresh
+       metadata and a new result — or, for odd [b], toggle it: remove
+       it if present, recreate it if absent, so the sweep also probes
+       handles to a missing target. *)
+    let target = a mod n_objects in
+    let present = Namespace.mem (Kernel.namespace world.path_side.kernel) (obj_path target) in
+    let remove twin =
+      match Namespace.remove (Kernel.namespace twin.kernel) (obj_path target) with
+      | Ok () -> ()
+      | Error e -> failwith (Format.asprintf "%a" Namespace.pp_error e)
+    in
+    let recreate twin =
+      twin.metas.(target) <- install_obj twin.kernel world.admin target (100 + world.recreations)
+    in
+    if present then begin
+      remove world.path_side;
+      remove world.handle_side
+    end;
+    if b mod 2 = 0 || not present then begin
+      world.recreations <- world.recreations + 1;
+      recreate world.path_side;
+      recreate world.handle_side
+    end;
+    true
 
 let prop_oracle =
   QCheck.Test.make ~name:"handle = path under churn" ~count:150
@@ -370,6 +402,46 @@ let test_unload_revokes_import_handles () =
     (is_use_after_close (Linker.Linked.call_import linked ping []));
   check "table empty again" true ((Kernel.handle_stats kernel).Handle.hs_live = 0)
 
+(* Removing a handle's target must fail the handle exactly like the path
+   call: a bumped generation on the removed node drives the handle into
+   the checked path, which no longer resolves the name. *)
+let test_removal_fails_like_path () =
+  let kernel, ping, _meta, alice = simple_fixture () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let h = open_exn kernel ~subject:alice ~caller:"t" ping in
+  check "granted before removal" true (Kernel.call_handle kernel h [] = Ok (Value.int 42));
+  (match Resolver.remove (Kernel.resolver kernel) ~subject:admin_sub ping with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "remove: %a" Resolver.pp_denial e);
+  let by_path = Kernel.call kernel ~subject:alice ~caller:"t" ping [] in
+  check "path call is Unresolved" true
+    (match by_path with Error (Service.Unresolved _) -> true | Ok _ | Error _ -> false);
+  check "client handle fails like the path" true (Kernel.call_handle kernel h [] = by_path);
+  (* An import handle into an extension that is then unloaded. *)
+  let alice_ind = Subject.principal alice in
+  let get = Path.of_string "/ext/provider/get" in
+  let link ext =
+    match Linker.link kernel ~subject:alice ext with
+    | Ok linked -> linked
+    | Error e -> Alcotest.failf "link: %a" Linker.pp_link_error e
+  in
+  ignore
+    (link
+       (Extension.make ~name:"provider" ~author:alice_ind
+          ~provides:[ Extension.provided "get" 0 (Service.const (Value.int 7)) ]
+          ()));
+  let client = link (Extension.make ~name:"client" ~author:alice_ind ~imports:[ get ] ()) in
+  check "import grants while linked" true
+    (Linker.Linked.call_import client get [] = Ok (Value.int 7));
+  (match Linker.unload kernel ~subject:alice "provider" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Service.error_to_string e));
+  let by_path = Kernel.call kernel ~subject:alice ~caller:"client" get [] in
+  check "path call into the unloaded provider is Unresolved" true
+    (match by_path with Error (Service.Unresolved _) -> true | Ok _ | Error _ -> false);
+  check "import handle fails like the path" true
+    (Linker.Linked.call_import client get [] = by_path)
+
 (* {1 Allocation regression}
 
    Same discipline as the compiled-ACL pin: the boxes [Gc.minor_words]
@@ -476,6 +548,8 @@ let suite =
     Alcotest.test_case "revocation rechecks and re-mints" `Quick test_revocation_rechecks;
     Alcotest.test_case "unload revokes import handles" `Quick
       test_unload_revokes_import_handles;
+    Alcotest.test_case "removal fails handles like the path" `Quick
+      test_removal_fails_like_path;
     Alcotest.test_case "call_handle allocates nothing" `Quick
       test_call_handle_allocates_nothing;
     Alcotest.test_case "denial mapping deterministic" `Quick

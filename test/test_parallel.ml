@@ -22,6 +22,28 @@ open Exsec_workload
 
 let check = Alcotest.(check bool)
 
+(* Every barrier wait is bounded: a domain that stops acknowledging
+   fails the test with the round and the lagging domains named,
+   instead of hanging the suite.  Normal rounds take microseconds. *)
+let ack_deadline_s = 30.0
+
+let await_acks ~what acks round =
+  let deadline = Unix.gettimeofday () +. ack_deadline_s in
+  while Array.exists (fun ack -> Atomic.get ack < round) acks do
+    if Unix.gettimeofday () > deadline then begin
+      let lagging = ref [] in
+      Array.iteri
+        (fun i ack ->
+          let seen = Atomic.get ack in
+          if seen < round then
+            lagging := Printf.sprintf "%s %d (acked round %d)" what i seen :: !lagging)
+        acks;
+      Alcotest.failf "round %d: no ack within %.0f s from %s" round ack_deadline_s
+        (String.concat ", " (List.rev !lagging))
+    end;
+    Domain.cpu_relax ()
+  done
+
 (* {1 Readers vs. mutator} *)
 
 let readers = 4
@@ -126,13 +148,13 @@ let test_stress_readers_vs_mutator () =
          the new round therefore observes the revocation too. *)
       Meta.set_acl_raw barrier_meta deny_read;
       Atomic.set barrier_round round;
-      while Array.exists (fun ack -> Atomic.get ack < round) acks do
-        Domain.cpu_relax ()
-      done;
+      await_acks ~what:"reader" acks round;
       Meta.set_acl_raw barrier_meta allow_read
-    done;
-    Atomic.set stop true
+    done
   in
+  (* [stop] is set even when a wait times out, so the readers exit and
+     the join below re-raises the mutator's failure. *)
+  let run_mutator () = Fun.protect ~finally:(fun () -> Atomic.set stop true) run_mutator in
   let reader_handles = List.init readers (fun i -> Domain.spawn (fun () -> run_reader i)) in
   let mutator_handle = Domain.spawn run_mutator in
   let results = List.map Domain.join reader_handles in
@@ -242,15 +264,21 @@ let test_handle_callers_vs_mutator () =
   let stop = Atomic.make false in
   Metrics.set_enabled true;
   let before = Metrics.snapshot () in
+  (* Every handle is opened before any domain starts: a caller opening
+     its own while the mutator already flips ACLs can be refused, die
+     without acknowledging, and leave the mutator waiting forever. *)
+  let opened =
+    Array.init callers (fun i ->
+        let subject = Subject.make caller_inds.(i) bottom in
+        let open_h path =
+          match Kernel.open_handle kernel ~subject ~caller:"stress" path with
+          | Ok h -> h
+          | Error e -> failwith (Service.error_to_string e)
+        in
+        Array.map open_h proc_paths, open_h barrier_path)
+  in
   let run_caller i =
-    let subject = Subject.make caller_inds.(i) bottom in
-    let open_h path =
-      match Kernel.open_handle kernel ~subject ~caller:"stress" path with
-      | Ok h -> h
-      | Error e -> failwith (Service.error_to_string e)
-    in
-    let handles = Array.map open_h proc_paths in
-    let barrier_h = open_h barrier_path in
+    let handles, barrier_h = opened.(i) in
     let stale_grants = ref 0 in
     let my_ack = ref 0 in
     let pos = ref 0 in
@@ -283,13 +311,11 @@ let test_handle_callers_vs_mutator () =
          the round number observes the revocation too. *)
       Meta.set_acl_raw barrier_meta (deny_exec_acl ());
       Atomic.set barrier_round round;
-      while Array.exists (fun ack -> Atomic.get ack < round) acks do
-        Domain.cpu_relax ()
-      done;
+      await_acks ~what:"caller" acks round;
       Meta.set_acl_raw barrier_meta (open_acl ())
-    done;
-    Atomic.set stop true
+    done
   in
+  let run_mutator () = Fun.protect ~finally:(fun () -> Atomic.set stop true) run_mutator in
   let caller_handles = List.init callers (fun i -> Domain.spawn (fun () -> run_caller i)) in
   let mutator_handle = Domain.spawn run_mutator in
   let stale = List.fold_left (fun acc h -> acc + Domain.join h) 0 caller_handles in
@@ -333,10 +359,12 @@ let test_fresh_ids_unique_across_domains () =
 
 (* {1 Audit ring under parallel recording} *)
 
-let test_audit_totals_parallel () =
+(* Run with the shard count forced to 1, 2 and 8, so that the result
+   cannot depend on the host's core count (the default). *)
+let audit_totals_with ~shards =
   let domains = 4 in
   let per_domain = 5000 in
-  let audit = Audit.create ~capacity:64 () in
+  let audit = Audit.create ~capacity:64 ~shards () in
   let owner = Principal.individual "owner" in
   let bottom =
     Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
@@ -360,7 +388,15 @@ let test_audit_totals_parallel () =
     (Audit.total audit)
     (Audit.granted_total audit + Audit.denied_total audit);
   Alcotest.(check int) "granted half" (domains * per_domain / 2) (Audit.granted_total audit);
-  Alcotest.(check int) "ring keeps capacity" 64 (List.length (Audit.events audit))
+  Alcotest.(check int) "ring keeps capacity" 64 (List.length (Audit.events audit));
+  let seqs = List.map (fun (e : Audit.event) -> e.Audit.seq) (Audit.events audit) in
+  check "oldest first" true (seqs = List.sort_uniq Int.compare seqs);
+  Alcotest.(check int)
+    "ends with the newest event"
+    ((domains * per_domain) - 1)
+    (List.nth seqs 63)
+
+let test_audit_totals_parallel () = List.iter (fun shards -> audit_totals_with ~shards) [ 1; 2; 8 ]
 
 let suite =
   [

@@ -591,7 +591,8 @@ let test_kernel_batch_single_drift () =
   in
   check "handle grants before the batch" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7));
-  let stamp = Reference_monitor.stamp (Kernel.monitor kernel) in
+  let monitor = Kernel.monitor kernel in
+  let stamp = Stamp.read monitor (Kernel.namespace kernel) path in
   let g0 = Principal.Db.generation db in
   Kernel.batch_principals kernel (fun () ->
       let team = Principal.group "team" in
@@ -603,14 +604,13 @@ let test_kernel_batch_single_drift () =
   check_int "one generation bump for the whole import" (g0 + 1)
     (Principal.Db.generation db);
   check "pre-batch stamp invalidated" false
-    (Reference_monitor.stamp_valid (Kernel.monitor kernel) stamp);
+    (Stamp.fresh monitor stamp);
   (* ...so the handle fails closed once, re-minting against the
      settled state, and the very next call is fast-path valid again. *)
   check "handle still grants after the batch" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7));
-  let stamp' = Reference_monitor.stamp (Kernel.monitor kernel) in
-  check "post-batch stamp stable" true
-    (Reference_monitor.stamp_valid (Kernel.monitor kernel) stamp');
+  let stamp' = Stamp.read monitor (Kernel.namespace kernel) path in
+  check "post-batch stamp stable" true (Stamp.fresh monitor stamp');
   check "re-minted handle grants" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7))
 
