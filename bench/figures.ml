@@ -285,5 +285,5 @@ let f6 () =
         Timing.pp_ns insert)
     [ 2, 4; 3, 6; 3, 12; 4, 10 ];
   Format.printf
-    "expected shape: lookup cost tracks depth, not population (hash-table@.";
+    "expected shape: lookup cost tracks depth, not population (ordered-map@.";
   Format.printf "directories); insertion is flat — the single tree scales@."

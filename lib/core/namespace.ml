@@ -1,5 +1,9 @@
+module Names = Map.Make (String)
+
+(* A directory is an immutable name-ordered map behind an Atomic,
+   replaced by compare-and-set (as in Quota): any domain may read it. *)
 type 'a kind =
-  | Dir of (string, 'a node) Hashtbl.t
+  | Dir of 'a node Names.t Atomic.t
   | Leaf of 'a
 
 and 'a node = {
@@ -16,7 +20,7 @@ and 'a node = {
 type 'a t = {
   tree_id : int;
   root_node : 'a node;
-  mutable node_count : int;
+  node_count : int Atomic.t;
       (* total nodes including the root, maintained by add/remove so
          [size] never walks the tree *)
 }
@@ -47,23 +51,35 @@ let create ~root_meta () =
         node_label = Path.to_string Path.root;
         node_meta = root_meta;
         node_tree = tree_id;
-        kind = Dir (Hashtbl.create 16);
+        kind = Dir (Atomic.make Names.empty);
       };
-    node_count = 1;
+    node_count = Atomic.make 1;
   }
 
 let root tree = tree.root_node
+
+let is_dir node =
+  match node.kind with
+  | Dir _ -> true
+  | Leaf _ -> false
+
+(* The one name-lookup step every walker takes. *)
+let child node name =
+  match node.kind with
+  | Leaf _ -> None
+  | Dir entries -> Names.find_opt name (Atomic.get entries)
+
+(* Why [name] is missing under [node]: absent, or [node] is a leaf. *)
+let miss node target =
+  if is_dir node then Not_found target else Not_a_directory node.node_path
 
 let find tree target =
   let rec walk node = function
     | [] -> Ok node
     | segment :: rest -> (
-      match node.kind with
-      | Leaf _ -> Error (Not_a_directory node.node_path)
-      | Dir table -> (
-        match Hashtbl.find_opt table segment with
-        | None -> Error (Not_found target)
-        | Some child -> walk child rest))
+      match child node segment with
+      | None -> Error (miss node target)
+      | Some next -> walk next rest)
   in
   walk tree.root_node (Path.segments target)
 
@@ -78,19 +94,17 @@ let chain tree target =
   let rec walk node acc = function
     | [] -> Some (List.rev (node :: acc))
     | segment :: rest -> (
-      match node.kind with
-      | Leaf _ -> None
-      | Dir table -> (
-        match Hashtbl.find_opt table segment with
-        | None -> None
-        | Some child -> walk child (node :: acc) rest))
+      match child node segment with
+      | None -> None
+      | Some next -> walk next (node :: acc) rest)
   in
   walk tree.root_node [] (Path.segments target)
 
 (* Insertion under an already-resolved parent node: the bulk-populate
    path.  A path-addressed insert re-walks from the root (O(depth));
    building a 10^5-node tree that way costs O(nodes x depth), so the
-   population workload holds the parent and inserts children in O(1). *)
+   population workload holds the parent and inserts children in
+   O(log fanout). *)
 let add_child tree parent name ~meta kind_of_path =
   if parent.node_tree <> tree.tree_id then
     invalid_arg
@@ -99,26 +113,31 @@ let add_child tree parent name ~meta kind_of_path =
          parent.node_label);
   match parent.kind with
   | Leaf _ -> Error (Not_a_directory parent.node_path)
-  | Dir table ->
+  | Dir entries ->
     let target = Path.child parent.node_path name in
-    if Hashtbl.mem table name then Error (Already_exists target)
-    else begin
-      let node =
-        {
-          node_path = target;
-          node_label = Path.to_string target;
-          node_meta = meta;
-          node_tree = tree.tree_id;
-          kind = kind_of_path ();
-        }
-      in
-      Hashtbl.add table name node;
-      tree.node_count <- tree.node_count + 1;
-      Ok node
-    end
+    let node =
+      {
+        node_path = target;
+        node_label = Path.to_string target;
+        node_meta = meta;
+        node_tree = tree.tree_id;
+        kind = kind_of_path ();
+      }
+    in
+    let rec insert () =
+      let current = Atomic.get entries in
+      if Names.mem name current then Error (Already_exists target)
+      else if Atomic.compare_and_set entries current (Names.add name node current) then begin
+        Atomic.incr tree.node_count;
+        Ok node
+      end
+      else insert ()
+    in
+    insert ()
 
-let add_dir_at tree parent name ~meta =
-  add_child tree parent name ~meta (fun () -> Dir (Hashtbl.create 8))
+let new_dir () = Dir (Atomic.make Names.empty)
+
+let add_dir_at tree parent name ~meta = add_child tree parent name ~meta new_dir
 
 let add_leaf_at tree parent name ~meta payload =
   add_child tree parent name ~meta (fun () -> Leaf payload)
@@ -131,9 +150,7 @@ let add_node tree target ~meta kind_of_path =
     | Error e -> Error e
     | Ok parent -> add_child tree parent name ~meta kind_of_path)
 
-let add_dir tree target ~meta =
-  add_node tree target ~meta (fun () -> Dir (Hashtbl.create 8))
-
+let add_dir tree target ~meta = add_node tree target ~meta new_dir
 let add_leaf tree target ~meta payload = add_node tree target ~meta (fun () -> Leaf payload)
 
 let remove tree target =
@@ -143,30 +160,33 @@ let remove tree target =
     match find tree parent_path with
     | Error e -> Error e
     | Ok parent -> (
-      match parent.kind with
-      | Leaf _ -> Error (Not_a_directory parent_path)
-      | Dir table -> (
-        match Hashtbl.find_opt table name with
-        | None -> Error (Not_found target)
-        | Some { kind = Dir children; _ } when Hashtbl.length children > 0 ->
-          Error (Directory_not_empty target)
-        | Some node ->
-          Hashtbl.remove table name;
-          tree.node_count <- tree.node_count - 1;
+      match child parent name, parent.kind with
+      | None, _ | Some _, Leaf _ -> Error (miss parent target)
+      | Some { kind = Dir children; _ }, _ when not (Names.is_empty (Atomic.get children)) ->
+        Error (Directory_not_empty target)
+      | Some node, Dir entries ->
+        (* Unlink [node] only while it is still bound to [name]: a
+           racing remove may have got there first. *)
+        let rec unlink () =
+          let current = Atomic.get entries in
+          match Names.find_opt name current with
+          | Some linked when linked == node ->
+            Atomic.compare_and_set entries current (Names.remove name current) || unlink ()
+          | Some _ | None -> false
+        in
+        if unlink () then begin
+          Atomic.decr tree.node_count;
           (* Unlink first, bump after (data-then-generation): a stamp
              that read the old generation goes stale, and one that read
              the bumped value cannot also see the node linked. *)
           Meta.touch node.node_meta;
-          Ok ())))
+          Ok ()
+        end
+        else Error (Not_found target)))
 
 let meta node = node.node_meta
 let path node = node.node_path
 let label node = node.node_label
-
-let is_dir node =
-  match node.kind with
-  | Dir _ -> true
-  | Leaf _ -> false
 
 let payload node =
   match node.kind with
@@ -176,13 +196,16 @@ let payload node =
 let children node =
   match node.kind with
   | Leaf _ -> []
-  | Dir table ->
-    Hashtbl.fold (fun name child acc -> (name, child) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  | Dir entries -> Names.bindings (Atomic.get entries)
+
+let leaves node =
+  List.filter_map (fun (_, child) -> if is_dir child then None else Some child) (children node)
 
 let rec iter_node node f =
   f node;
-  List.iter (fun (_, child) -> iter_node child f) (children node)
+  match node.kind with
+  | Leaf _ -> ()
+  | Dir entries -> Names.iter (fun _ child -> iter_node child f) (Atomic.get entries)
 
 let iter tree f = iter_node tree.root_node f
 
@@ -191,4 +214,4 @@ let fold tree ~init ~f =
   iter tree (fun node -> acc := f !acc node);
   !acc
 
-let size tree = tree.node_count
+let size tree = Atomic.get tree.node_count

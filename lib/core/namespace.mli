@@ -34,10 +34,10 @@ val add_leaf : 'a t -> Path.t -> meta:Meta.t -> 'a -> ('a node, error) result
 
 val add_dir_at : 'a t -> 'a node -> string -> meta:Meta.t -> ('a node, error) result
 (** [add_dir_at tree parent name ~meta] creates a directory child of
-    the already-resolved [parent] node in O(1) — no path re-walk from
-    the root.  The bulk-populate primitive: building an n-node tree
-    through the path-addressed {!add_dir} costs O(n x depth); through
-    this, O(n).
+    the already-resolved [parent] node in O(log fanout) — no path
+    re-walk from the root.  The bulk-populate primitive: building an
+    n-node tree through the path-addressed {!add_dir} costs
+    O(n x depth); through this, O(n log fanout).
     @raise Invalid_argument if [parent] does not belong to [tree] —
     enforced (nodes carry their owning tree's id), since inserting
     under a foreign node would mutate that tree while corrupting both
@@ -45,6 +45,11 @@ val add_dir_at : 'a t -> 'a node -> string -> meta:Meta.t -> ('a node, error) re
 
 val add_leaf_at : 'a t -> 'a node -> string -> meta:Meta.t -> 'a -> ('a node, error) result
 (** Leaf counterpart of {!add_dir_at}. *)
+
+val child : 'a node -> string -> 'a node option
+(** The entry [name] of directory [node]; [None] if absent or [node]
+    is a leaf.  The one name-lookup step every walker takes, safe from
+    any domain: directories are immutable maps swapped by CAS. *)
 
 val find : 'a t -> Path.t -> ('a node, error) result
 val mem : 'a t -> Path.t -> bool
@@ -76,11 +81,15 @@ val payload : 'a node -> 'a option
 (** [Some] for leaves, [None] for directories. *)
 
 val children : 'a node -> (string * 'a node) list
-(** Sorted by name; [[]] for leaves. *)
+(** Sorted by name (the directory's own order, no sort); [[]] for
+    leaves. *)
+
+val leaves : 'a node -> 'a node list
+(** The children that are leaves, in name order; [[]] for leaves. *)
 
 val size : 'a t -> int
-(** Total number of nodes, root included.  O(1): a counter maintained
-    by insertion and removal, not a tree fold. *)
+(** Total number of nodes, root included.  O(1): an atomic counter
+    maintained by insertion and removal, not a tree fold. *)
 
 val iter : 'a t -> ('a node -> unit) -> unit
 (** Preorder traversal over every node. *)

@@ -34,6 +34,12 @@ let check ?span r ~subject node mode =
   | Decision.Denied denial ->
     Error (Denied { at = Namespace.path node; mode; denial })
 
+(* Why a walk found no entry under [node]: absent, or [node] is a
+   leaf — the error {!Namespace.find} gives for the same miss. *)
+let missing node target =
+  if Namespace.is_dir node then Name_error (Namespace.Not_found target)
+  else Name_error (Namespace.Not_a_directory (Namespace.path node))
+
 (* Walk to [target], checking [List] on every *interior* node strictly
    above the target.  Returns the target node, unchecked. *)
 let walk ?span r ~subject target =
@@ -43,16 +49,9 @@ let walk ?span r ~subject target =
       match check ?span r ~subject node Access_mode.List with
       | Error e -> Error e
       | Ok () -> (
-        let found =
-          List.find_opt
-            (fun (name, _) -> String.equal name segment)
-            (Namespace.children node)
-        in
-        match found with
-        | None ->
-          if Namespace.is_dir node then Error (Name_error (Namespace.Not_found target))
-          else Error (Name_error (Namespace.Not_a_directory (Namespace.path node)))
-        | Some (_, child) -> step child rest))
+        match Namespace.child node segment with
+        | None -> Error (missing node target)
+        | Some child -> step child rest))
   in
   step (Namespace.root r.namespace) (Path.segments target)
 
@@ -157,17 +156,9 @@ let remove ?(span = Trace.none) r ~subject target =
         | Error e -> Error e
         | Ok () -> (
           let basename = Option.value (Path.basename target) ~default:"" in
-          let found =
-            List.find_opt
-              (fun (name, _) -> String.equal name basename)
-              (Namespace.children parent_node)
-          in
-          match found with
-          | None ->
-            if Namespace.is_dir parent_node then
-              Error (Name_error (Namespace.Not_found target))
-            else Error (Name_error (Namespace.Not_a_directory (Namespace.path parent_node)))
-          | Some (_, victim) -> (
+          match Namespace.child parent_node basename with
+          | None -> Error (missing parent_node target)
+          | Some victim -> (
             match check ~span r ~subject victim Access_mode.Delete with
             | Error e -> Error e
             | Ok () -> (

@@ -718,13 +718,8 @@ let call_graph ?(extra = []) kernel =
             List.concat_map
               (fun mount ->
                 match Namespace.find ns mount with
-                | Ok node when Namespace.is_dir node ->
-                  List.filter_map
-                    (fun (_, child) ->
-                      if Namespace.is_dir child then None
-                      else Some (Namespace.path child))
-                    (Namespace.children node)
-                | Ok _ | Error _ -> [])
+                | Ok node -> List.map Namespace.path (Namespace.leaves node)
+                | Error _ -> [])
               (Domain.interfaces domain))
           ext.Extension.import_domains
       in

@@ -113,9 +113,10 @@ let check_extend kernel ~subject (ext : Extension.extends) =
     Error (Extend_denied { event = ext.Extension.event; error = Kernel.error_of_denial denial })
 
 (* Expand SPIN-style domain imports into the concrete procedures
-   currently under each interface mount point.  Listing happens under
-   the (capped) linking authority, so even discovering the domain's
-   contents is access checked. *)
+   currently under each interface mount point.  Each mount is resolved
+   once, with [List] checked under the (capped) linking authority, so
+   even discovering the domain's contents is access checked; its leaf
+   entries are the procedures. *)
 let expand_domains kernel ~subject domains =
   let ( let* ) = Result.bind in
   List.fold_left
@@ -124,20 +125,16 @@ let expand_domains kernel ~subject domains =
       List.fold_left
         (fun acc mount ->
           let* paths = acc in
-          match Resolver.list_dir (Kernel.resolver kernel) ~subject mount with
-          | Error denial ->
+          let denied denial =
             Error (Import_denied { import = mount; error = Kernel.error_of_denial denial })
-          | Ok names ->
-            let callable =
-              List.filter_map
-                (fun name ->
-                  let path = Path.child mount name in
-                  match Namespace.find (Kernel.namespace kernel) path with
-                  | Ok node when not (Namespace.is_dir node) -> Some path
-                  | Ok _ | Error _ -> None)
-                names
-            in
-            Ok (paths @ callable))
+          in
+          match
+            Resolver.resolve (Kernel.resolver kernel) ~subject ~mode:Access_mode.List mount
+          with
+          | Error denial -> denied denial
+          | Ok node when Namespace.is_dir node ->
+            Ok (paths @ List.map Namespace.path (Namespace.leaves node))
+          | Ok _ -> denied (Resolver.Name_error (Namespace.Not_a_directory mount)))
         (Ok paths) (Domain.interfaces domain))
     (Ok []) domains
 

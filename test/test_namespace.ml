@@ -158,7 +158,7 @@ let test_counter_size () =
   Alcotest.(check int) "back to just the root" 1 (Namespace.size ns)
 
 let test_add_at_parent () =
-  (* The O(1) bulk-populate inserts: children of an already-resolved
+  (* The O(log fanout) bulk-populate inserts: children of an already-resolved
      parent, no path re-walk — and the same error discipline as the
      path-addressed inserts. *)
   let ns = make () in

@@ -398,6 +398,152 @@ let audit_totals_with ~shards =
 
 let test_audit_totals_parallel () = List.iter (fun shards -> audit_totals_with ~shards) [ 1; 2; 8 ]
 
+(* {1 Directories under concurrent mutation}
+
+   Two inserter domains add the same names to one directory while a
+   reader domain resolves an untouched leaf in it through the checked
+   resolver.  Invariants, every round:
+
+   - of two racing inserts of one name exactly one returns [Ok];
+   - every name is present exactly once, and [Namespace.size] equals a
+     fold over the tree (no lost or duplicated entry, no miscount);
+   - the reader never sees the untouched leaf go missing;
+   - nothing raises.
+
+   The main domain drives the rounds and waits through [await_acks],
+   so a worker stuck inside a corrupted directory fails the test with
+   the lagging domain named instead of hanging it. *)
+
+let dir_rounds = 200
+let dir_names = 2000
+
+let test_directory_mutation () =
+  let owner = Principal.individual "owner" in
+  let db = Principal.Db.create () in
+  Principal.Db.add_individual db owner;
+  let bottom =
+    Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
+  in
+  let subject = Subject.make owner bottom in
+  let open_meta () =
+    Meta.make ~owner
+      ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Read ] ])
+      bottom
+  in
+  let monitor = Reference_monitor.create db in
+  let names = Array.init dir_names (Printf.sprintf "n%04d") in
+  let untouched = Path.of_string "/d/untouched" in
+  let leaf_meta = open_meta () in
+  (* One fresh tree per round, published before the round number. *)
+  let world = Atomic.make None in
+  let round = Atomic.make 0 in
+  let inserting = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let acks = Array.init 3 (fun _ -> Atomic.make 0) in
+  let oks = Array.init 2 (fun _ -> Array.make dir_names false) in
+  let not_found = Atomic.make 0 in
+  let raised = Atomic.make 0 in
+  let first_raised = Atomic.make None in
+  let guarded f =
+    try f ()
+    with e ->
+      Atomic.incr raised;
+      ignore (Atomic.compare_and_set first_raised None (Some (Printexc.to_string e)))
+  in
+  (* Run [body] on each published round until [stop]. *)
+  let worker i body () =
+    let seen = ref 0 in
+    while not (Atomic.get stop) do
+      if Atomic.get round > !seen then begin
+        incr seen;
+        (match Atomic.get world with
+        | Some w -> body w
+        | None -> ());
+        Atomic.set acks.(i) !seen
+      end
+      else Domain.cpu_relax ()
+    done
+  in
+  let inserter i (ns, _, dir) =
+    let mine = oks.(i) in
+    Array.fill mine 0 dir_names false;
+    guarded (fun () ->
+        Array.iteri
+          (fun j name ->
+            match Namespace.add_leaf_at ns dir name ~meta:leaf_meta j with
+            | Ok _ -> mine.(j) <- true
+            | Error _ -> ())
+          names);
+    Atomic.decr inserting
+  in
+  let reader (_, resolver, _) =
+    let continue = ref true in
+    while !continue do
+      continue := Atomic.get inserting > 0;
+      guarded (fun () ->
+          match Resolver.resolve resolver ~subject ~mode:Access_mode.Read untouched with
+          | Error (Resolver.Name_error (Namespace.Not_found _)) -> Atomic.incr not_found
+          | Ok _ | Error _ -> ())
+    done
+  in
+  let double_ok = ref 0 and no_ok = ref 0 in
+  let entry_rounds = ref 0 and size_rounds = ref 0 in
+  let run_round r =
+    let ns = Namespace.create ~root_meta:(open_meta ()) () in
+    let dir =
+      match Namespace.add_dir ns (Path.of_string "/d") ~meta:(open_meta ()) with
+      | Ok dir -> dir
+      | Error e -> Alcotest.failf "round %d: %a" r Namespace.pp_error e
+    in
+    ignore (Namespace.add_leaf ns untouched ~meta:leaf_meta (-1));
+    Atomic.set inserting 2;
+    Atomic.set world (Some (ns, Resolver.create monitor ns, dir));
+    Atomic.set round r;
+    await_acks ~what:"worker" acks r;
+    Array.iteri
+      (fun j _ ->
+        match oks.(0).(j), oks.(1).(j) with
+        | true, true -> incr double_ok
+        | false, false -> incr no_ok
+        | _ -> ())
+      names;
+    let listed = List.map fst (Namespace.children dir) in
+    if listed <> List.sort String.compare ("untouched" :: Array.to_list names) then
+      incr entry_rounds;
+    if Namespace.size ns <> Namespace.fold ns ~init:0 ~f:(fun n _ -> n + 1) then
+      incr size_rounds
+  in
+  let domains =
+    [ Domain.spawn (worker 0 (inserter 0)); Domain.spawn (worker 1 (inserter 1));
+      Domain.spawn (worker 2 reader) ]
+  in
+  (* On a timeout the lagging worker may never return: stop the others
+     and fail without joining it. *)
+  (match
+     for r = 1 to dir_rounds do
+       run_round r
+     done
+   with
+  | () ->
+    Atomic.set stop true;
+    List.iter Domain.join domains
+  | exception e ->
+    Atomic.set stop true;
+    Printf.printf
+      "before the failure: %d raised, %d double Ok, %d no Ok, %d entry rounds, %d size \
+       rounds, %d Not_found\n"
+      (Atomic.get raised) !double_ok !no_ok !entry_rounds !size_rounds (Atomic.get not_found);
+    raise e);
+  Alcotest.(check int)
+    (Printf.sprintf "exceptions raised (first: %s)"
+       (Option.value (Atomic.get first_raised) ~default:"none"))
+    0 (Atomic.get raised);
+  Alcotest.(check int) "names both inserts returned Ok for" 0 !double_ok;
+  Alcotest.(check int) "names neither insert returned Ok for" 0 !no_ok;
+  Alcotest.(check int) "rounds with a lost or duplicated entry" 0 !entry_rounds;
+  Alcotest.(check int) "rounds where size disagreed with a fold" 0 !size_rounds;
+  Alcotest.(check int) "untouched leaf reported Not_found" 0 (Atomic.get not_found)
+
 let suite =
   [
     Alcotest.test_case "stress: readers vs mutator" `Quick test_stress_readers_vs_mutator;
@@ -407,4 +553,5 @@ let suite =
       test_fresh_ids_unique_across_domains;
     Alcotest.test_case "audit totals conserved across domains" `Quick
       test_audit_totals_parallel;
+    Alcotest.test_case "directory inserts race a resolver" `Quick test_directory_mutation;
   ]

@@ -287,5 +287,82 @@ let prop_resolver_matches_oracle =
           Bool.equal got expected)
         !expectations)
 
+(* The four walkers take one child step, so under a policy that grants
+   everything they must agree on every path: the same node, or the same
+   name error.  Random trees over a three-letter alphabet produce
+   missing names, paths running through a leaf, and removals of absent
+   or non-empty entries.  Removal runs on twin trees built from the
+   same inserts — [Resolver.remove] on one, [Namespace.remove] on the
+   other — and the outcomes must match step for step. *)
+let prop_walkers_agree =
+  let segs = QCheck.Gen.(list_size (int_range 0 4) (map (String.make 1) (char_range 'a' 'c'))) in
+  let arb =
+    QCheck.make
+      QCheck.Gen.(pair (list_size (int_range 0 25) (pair segs bool)) (list_size (int_range 1 30) segs))
+  in
+  let build inserts =
+    let ns = Namespace.create ~root_meta:(world_listable admin bottom) () in
+    List.iter
+      (fun (segments, leaf) ->
+        let path = Path.of_segments segments in
+        let meta = world_listable admin bottom in
+        ignore
+          (if leaf then Namespace.add_leaf ns path ~meta 0
+           else Namespace.add_dir ns path ~meta))
+      inserts;
+    ns
+  in
+  let name_error = function
+    | Error (Resolver.Name_error e) -> Some e
+    | Ok _ | Error (Resolver.Denied _) -> None
+  in
+  let same_error a b =
+    match a, b with
+    | Namespace.Not_found p, Namespace.Not_found q
+    | Namespace.Not_a_directory p, Namespace.Not_a_directory q
+    | Namespace.Directory_not_empty p, Namespace.Directory_not_empty q ->
+      Path.equal p q
+    | _ -> false
+  in
+  QCheck.Test.make ~name:"resolve, remove, find and chain take one step" ~count:300 arb
+    (fun (inserts, queries) ->
+      let db = Principal.Db.create () in
+      let monitor = Reference_monitor.create ~policy:Policy.unchecked db in
+      let ns = build inserts in
+      let twin = build inserts in
+      let r = Resolver.create monitor ns in
+      let subject = alice_low () in
+      List.for_all
+        (fun segments ->
+          let path = Path.of_segments segments in
+          let found = Namespace.find ns path in
+          let lookups_agree =
+            match
+              found, Namespace.chain ns path,
+              Resolver.resolve r ~subject ~mode:Access_mode.Read path
+            with
+            | Ok node, Some nodes, Ok resolved ->
+              node == resolved && node == List.nth nodes (List.length nodes - 1)
+            | Error e, None, resolved -> (
+              match name_error resolved with
+              | Some e' -> same_error e e'
+              | None -> false)
+            | _ -> false
+          in
+          let removals_agree =
+            Path.is_root path
+            ||
+            match Resolver.remove r ~subject path, Namespace.remove twin path with
+            | Ok (), Ok () -> true
+            | resolver_result, Error e -> (
+              match name_error resolver_result with
+              | Some e' -> same_error e e'
+              | None -> false)
+            | Error _, Ok () -> false
+          in
+          lookups_agree && removals_agree)
+        queries)
+
 let suite =
-  suite @ [ QCheck_alcotest.to_alcotest prop_resolver_matches_oracle ]
+  suite @ [ QCheck_alcotest.to_alcotest prop_resolver_matches_oracle;
+            QCheck_alcotest.to_alcotest prop_walkers_agree ]
