@@ -5,14 +5,16 @@
     here; the log keeps a bounded window of recent events plus running
     totals, so long benchmarks do not grow memory without bound.
 
-    The pipeline is {e sharded}: events are spread over per-shard
-    rings (shard key: a hash of the recording domain and the subject),
-    each behind its own mutex, with one shared atomic sequence counter
-    ordering events globally.  Recording domains therefore do not
-    serialize on a single lock — the property the multi-domain scaling
-    benches (A8) measure — while {!events} still returns exactly the
-    last [capacity] events, independent of the shard count.  Totals
-    remain conserved:
+    The pipeline is {e sharded by domain}: a record goes to the ring of
+    shard [Domain.self () mod shards], behind that shard's own mutex,
+    with one shared atomic sequence counter ordering events globally.
+    Recording domains on different shards therefore share no lock —
+    the property the multi-domain scaling benches (A8) measure — while
+    {!events} still returns exactly the last [capacity] events,
+    independent of the shard count.  Each ring is kept as flat columns
+    (seq, subject, name, id, class, mode, decision) allocated by the
+    shard's first record, so recording allocates nothing; {!event}
+    records are built only when read.  Totals remain conserved:
     [granted_total + denied_total] always equals the number of
     completed {!record} calls. *)
 
@@ -47,9 +49,10 @@ val record :
   mode:Access_mode.t ->
   Decision.t ->
   unit
-(** Stamp the event from the shared sequence counter, build it outside
-    any critical section, then append it to its shard under that
-    shard's lock (ring slot + counters only). *)
+(** Stamp the event from the shared sequence counter, then write its
+    fields into the calling domain's shard under that shard's lock
+    (ring slots and counters only).  Allocates nothing once the shard's
+    columns exist. *)
 
 val events : t -> event list
 (** The newest {!capacity} recorded events merged across shards on the

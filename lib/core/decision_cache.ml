@@ -19,87 +19,40 @@ type stats = {
   shards : int;
 }
 
-(* Everything a decision reads from the subject, plus the object
-   identity and the requested mode.  The mutable inputs — the
-   object's metadata, the group database and the monitor's policy —
-   are covered by generation validation, not by the key. *)
-module Key = struct
-  type t = {
-    principal : string;
-    effective : Security_class.t;
-    trusted : bool;
-    integrity : Security_class.t option;
-    object_id : int;
-    mode : int;
-  }
-
-  let of_request ~subject ~(meta : Meta.t) ~mode =
-    {
-      principal = Principal.individual_name (Subject.principal subject);
-      effective = Subject.effective_class subject;
-      trusted = Subject.is_trusted subject;
-      integrity = Subject.integrity subject;
-      object_id = meta.Meta.id;
-      mode = Access_mode.index mode;
-    }
-
-  let equal_class_option a b =
-    match a, b with
-    | None, None -> true
-    | Some a, Some b -> Security_class.equal a b
-    | (None | Some _), _ -> false
-
-  let equal a b =
-    a.object_id = b.object_id
-    && a.mode = b.mode
-    && a.trusted = b.trusted
-    && String.equal a.principal b.principal
-    && Security_class.equal a.effective b.effective
-    && equal_class_option a.integrity b.integrity
-
-  (* Need not separate what [equal] separates; classes only
-     contribute their level rank so cross-lattice keys still hash
-     consistently with equality. *)
-  let hash key =
-    Hashtbl.hash
-      ( key.principal,
-        key.object_id,
-        key.mode,
-        key.trusted,
-        Level.rank (Security_class.level key.effective) )
-end
-
-module Table = Hashtbl.Make (Key)
-
-type entry = {
-  decision : Decision.t;
-  meta_generation : int;
-  db_generation : int;
-  policy_generation : int;
-  stamp : int;  (* per-shard insertion order, for FIFO eviction *)
-}
-
-(* One independent slice of the cache.  Every field is guarded by
-   [lock]; concurrent [memoize] calls serialize only when their keys
-   hash to the same shard. *)
+(* One domain's slice of the cache: a direct-mapped table kept in flat
+   columns, one slot per index, plus its counters.  An object id of 0
+   marks an empty slot ({!Meta} ids start at 1).  Every mutable field
+   and every column is guarded by [lock], which is held only for a
+   slot probe or a slot write, never across an evaluation. *)
 type shard = {
   lock : Mutex.t;
-  table : entry Table.t;
-  order : (Key.t * int) Queue.t;  (* (key, stamp); stale pairs skipped *)
-  mutable next_stamp : int;
-  mutable stale_pairs : int;
-      (* pairs in [order] whose entry was invalidated in place, so no
-         live (key, stamp) matches them; kept exact so the queue bound
-         Queue.length order = Table.length table + stale_pairs holds *)
+  subjects : Subject.t array;
+  object_ids : int array;
+  modes : int array;
+  decisions : Decision.t option array;
+      (* stored as the option {!lookup} returns, so a hit allocates
+         nothing *)
+  meta_generations : int array;
+  db_generations : int array;
+  policy_generations : int array;
+  mutable size : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
 }
 
+(* Domains whose ids agree modulo the shard count share a shard; others
+   share nothing.  A shard is built by the first domain that uses it,
+   so its mutex, columns and counters sit in that domain's memory,
+   not next to another domain's: two domains writing neighbouring
+   mutexes or counters would contend for one cache line.  Its columns
+   are filled with values that are never young ([Subject.placeholder],
+   [None], 0), since [Array.make] of a large array with a young value
+   forces a minor collection of every domain. *)
 type t = {
-  shard_array : shard array;
-  shard_cap : int;  (* per-shard entry bound *)
+  shards : shard option Atomic.t array;
+  slots : int;  (* per shard, a power of two *)
 }
 
 let create ?shards ~capacity () =
@@ -110,44 +63,67 @@ let create ?shards ~capacity () =
     | Some n -> n
     | None -> Domain.recommended_domain_count ()
   in
-  (* Distribute the capacity across shards, rounding up so the
-     aggregate bound never undercuts the request. *)
-  let shard_cap = Stdlib.max 1 ((capacity + shards - 1) / shards) in
-  let make_shard _ =
-    {
-      lock = Mutex.create ();
-      table = Table.create (Stdlib.min shard_cap 1024);
-      order = Queue.create ();
-      next_stamp = 0;
-      stale_pairs = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      invalidations = 0;
-    }
-  in
-  { shard_array = Array.init shards make_shard; shard_cap }
+  let wanted = (capacity + shards - 1) / shards in
+  let rec pow2 n = if n >= wanted then n else pow2 (2 * n) in
+  { shards = Array.init shards (fun _ -> Atomic.make None); slots = pow2 1 }
 
-let shard_count cache = Array.length cache.shard_array
-let capacity cache = cache.shard_cap * shard_count cache
+let shard_count cache = Array.length cache.shards
+let capacity cache = cache.slots * shard_count cache
 
-(* Decorrelate the shard index from the table's bucket index: the
-   table uses the hash's low bits, so feeding them to [mod] directly
-   would leave each shard's table clustered in 1/N of its buckets. *)
-let shard_of cache key =
-  (Key.hash key * 0x9e3779b1) lsr 16 mod Array.length cache.shard_array
+let own_shard cache =
+  let cell = cache.shards.((Domain.self () :> int) mod shard_count cache) in
+  match Atomic.get cell with
+  | Some shard -> shard
+  | None ->
+    let slots = cache.slots in
+    let shard =
+      {
+        lock = Mutex.create ();
+        subjects = Array.make slots Subject.placeholder;
+        object_ids = Array.make slots 0;
+        modes = Array.make slots 0;
+        decisions = Array.make slots None;
+        meta_generations = Array.make slots 0;
+        db_generations = Array.make slots 0;
+        policy_generations = Array.make slots 0;
+        size = 0;
+        hits = 0;
+        misses = 0;
+        evictions = 0;
+        invalidations = 0;
+      }
+    in
+    if Atomic.compare_and_set cell None (Some shard) then shard
+    else Option.get (Atomic.get cell)
+
+(* Multiplicative mixing of the key's three parts; the product's bits
+   from 24 up, which depend on all of the key's low bits, index the
+   table. *)
+let slot cache ~subject ~object_id ~mode =
+  let name = Principal.individual_name (Subject.principal subject) in
+  let key = (Hashtbl.hash name * 0x2f) + (object_id lsl 3) + mode in
+  (key * 0x9e3779b1) lsr 24 land (cache.slots - 1)
+
+(* Everything a decision reads from the subject.  Physical equality
+   settles the common case, where a caller reuses one subject value. *)
+let same_subject a b =
+  a == b
+  || Bool.equal (Subject.is_trusted a) (Subject.is_trusted b)
+     && String.equal
+          (Principal.individual_name (Subject.principal a))
+          (Principal.individual_name (Subject.principal b))
+     && Security_class.equal (Subject.effective_class a) (Subject.effective_class b)
+     && Option.equal Security_class.equal (Subject.integrity a) (Subject.integrity b)
 
 let fold_shards cache init f =
   Array.fold_left
-    (fun acc shard -> Mutex.protect shard.lock (fun () -> f acc shard))
-    init cache.shard_array
+    (fun acc cell ->
+      match Atomic.get cell with
+      | None -> acc
+      | Some shard -> Mutex.protect shard.lock (fun () -> f acc shard))
+    init cache.shards
 
-let size cache = fold_shards cache 0 (fun acc shard -> acc + Table.length shard.table)
-
-let queue_length cache =
-  fold_shards cache 0 (fun acc shard -> acc + Queue.length shard.order)
-
-let pending_stale cache = fold_shards cache 0 (fun acc shard -> acc + shard.stale_pairs)
+let size cache = fold_shards cache 0 (fun acc shard -> acc + shard.size)
 
 let stats cache =
   let zero =
@@ -168,104 +144,94 @@ let stats cache =
         misses = acc.misses + shard.misses;
         evictions = acc.evictions + shard.evictions;
         invalidations = acc.invalidations + shard.invalidations;
-        size = acc.size + Table.length shard.table;
+        size = acc.size + shard.size;
       })
 
 let flush cache =
-  Array.iter
-    (fun shard ->
-      Mutex.protect shard.lock (fun () ->
-          shard.invalidations <- shard.invalidations + Table.length shard.table;
-          Metrics.add m_invalidations (Table.length shard.table);
-          Table.reset shard.table;
-          Queue.clear shard.order;
-          shard.stale_pairs <- 0))
-    cache.shard_array
+  fold_shards cache () (fun () shard ->
+      shard.invalidations <- shard.invalidations + shard.size;
+      Metrics.add m_invalidations shard.size;
+      shard.size <- 0;
+      Array.fill shard.object_ids 0 cache.slots 0)
 
-(* Pop queue pairs until one still names a live entry; pairs whose
-   stamp no longer matches belong to entries invalidated in place
-   (and possibly re-inserted under a newer stamp) and are accounted
-   for in [stale_pairs]. *)
-let rec evict_one cache shard =
-  match Queue.take_opt shard.order with
-  | None -> ()
-  | Some (key, stamp) -> (
-    match Table.find_opt shard.table key with
-    | Some entry when entry.stamp = stamp ->
-      Table.remove shard.table key;
-      shard.evictions <- shard.evictions + 1;
-      Metrics.incr m_evictions
-    | Some _ | None ->
-      shard.stale_pairs <- shard.stale_pairs - 1;
-      evict_one cache shard)
-
-(* Rebuild the order queue keeping only pairs that still name a live
-   entry.  Invalidation leaves its pair behind ([Queue] has no random
-   removal), so a churn-heavy workload below capacity would otherwise
-   grow the queue without bound; compacting once stale pairs exceed
-   the shard capacity keeps Queue.length <= 2 * shard_cap. *)
-let compact cache shard =
-  if shard.stale_pairs > cache.shard_cap then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun (key, stamp) ->
-        match Table.find_opt shard.table key with
-        | Some entry when entry.stamp = stamp -> Queue.add (key, stamp) live
-        | Some _ | None -> ())
-      shard.order;
-    Queue.clear shard.order;
-    Queue.transfer live shard.order;
-    shard.stale_pairs <- 0
+(* The slot's decision when it holds this key under these generations.
+   A slot holding this key under other generations is stale: it is
+   emptied and counted as an invalidation. *)
+let probe shard i ~subject ~object_id ~mode ~meta_generation ~db_generation
+    ~policy_generation =
+  if
+    shard.object_ids.(i) <> object_id
+    || shard.modes.(i) <> mode
+    || not (same_subject shard.subjects.(i) subject)
+  then None
+  else if
+    shard.meta_generations.(i) = meta_generation
+    && shard.db_generations.(i) = db_generation
+    && shard.policy_generations.(i) = policy_generation
+  then shard.decisions.(i)
+  else begin
+    shard.object_ids.(i) <- 0;
+    shard.size <- shard.size - 1;
+    shard.invalidations <- shard.invalidations + 1;
+    Metrics.incr m_invalidations;
+    None
   end
 
-let add cache shard key ~meta_generation ~db_generation ~policy_generation decision =
-  if Table.length shard.table >= cache.shard_cap then evict_one cache shard;
-  let stamp = shard.next_stamp in
-  shard.next_stamp <- stamp + 1;
-  Table.add shard.table key
-    { decision; meta_generation; db_generation; policy_generation; stamp };
-  Queue.add (key, stamp) shard.order
+let lookup cache ~subject ~(meta : Meta.t) ~mode ~meta_generation ~db_generation
+    ~policy_generation =
+  let shard = own_shard cache in
+  let object_id = meta.Meta.id and mode = Access_mode.index mode in
+  let i = slot cache ~subject ~object_id ~mode in
+  Mutex.lock shard.lock;
+  match
+    probe shard i ~subject ~object_id ~mode ~meta_generation ~db_generation
+      ~policy_generation
+  with
+  | exception e ->
+    (* Only a malformed subject class can raise here. *)
+    Mutex.unlock shard.lock;
+    raise e
+  | found ->
+    (match found with
+    | Some _ ->
+      shard.hits <- shard.hits + 1;
+      Metrics.incr m_hits
+    | None ->
+      shard.misses <- shard.misses + 1;
+      Metrics.incr m_misses);
+    Mutex.unlock shard.lock;
+    found
 
-let memoize cache ~subject ~(meta : Meta.t) ~mode ~db_generation ~policy_generation
-    compute =
-  let key = Key.of_request ~subject ~meta ~mode in
-  (* Generations are read BEFORE the computation: a mutation racing
-     with [compute] then lands a higher generation than the one this
-     entry is filed under, so the entry can never validate again (see
-     the ordering contract in {!Meta}). *)
-  let meta_generation = Meta.generation meta in
-  let shard = cache.shard_array.(shard_of cache key) in
-  Mutex.protect shard.lock (fun () ->
-      let miss () =
-        shard.misses <- shard.misses + 1;
-        Metrics.incr m_misses;
-        let decision = compute () in
-        add cache shard key ~meta_generation ~db_generation ~policy_generation decision;
-        decision
-      in
-      match Table.find_opt shard.table key with
-      | None -> miss ()
-      | Some entry ->
-        if
-          entry.meta_generation = meta_generation
-          && entry.db_generation = db_generation
-          && entry.policy_generation = policy_generation
-        then begin
-          shard.hits <- shard.hits + 1;
-          Metrics.incr m_hits;
-          entry.decision
-        end
-        else begin
-          (* The inputs moved underneath the entry: drop it, recompute
-             and re-store under the current generations.  The queue
-             pair stays behind and is counted stale. *)
-          Table.remove shard.table key;
-          shard.invalidations <- shard.invalidations + 1;
-          Metrics.incr m_invalidations;
-          shard.stale_pairs <- shard.stale_pairs + 1;
-          compact cache shard;
-          miss ()
-        end)
+(* Shared by every granted entry, so storing a grant allocates
+   nothing either. *)
+let some_granted = Some Decision.Granted
+
+let store cache ~subject ~(meta : Meta.t) ~mode ~meta_generation ~db_generation
+    ~policy_generation decision =
+  let shard = own_shard cache in
+  let object_id = meta.Meta.id and mode = Access_mode.index mode in
+  let i = slot cache ~subject ~object_id ~mode in
+  let entry =
+    match decision with
+    | Decision.Granted -> some_granted
+    | Decision.Denied _ -> Some decision
+  in
+  Mutex.lock shard.lock;
+  (* A live slot is always another key on one domain: a hit never
+     stores, and a stale hit emptied the slot. *)
+  if shard.object_ids.(i) = 0 then shard.size <- shard.size + 1
+  else begin
+    shard.evictions <- shard.evictions + 1;
+    Metrics.incr m_evictions
+  end;
+  shard.subjects.(i) <- subject;
+  shard.object_ids.(i) <- object_id;
+  shard.modes.(i) <- mode;
+  shard.decisions.(i) <- entry;
+  shard.meta_generations.(i) <- meta_generation;
+  shard.db_generations.(i) <- db_generation;
+  shard.policy_generations.(i) <- policy_generation;
+  Mutex.unlock shard.lock
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf

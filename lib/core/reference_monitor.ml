@@ -158,29 +158,26 @@ let decide ?(span = Trace.none) monitor ~subject ~meta ~mode =
   let decision =
     match monitor.cache with
     | None -> evaluate monitor ~span ~subject ~meta ~mode
-    | Some cache ->
-      (* Both global generations are read before the evaluation (the
-         meta generation is read inside [memoize], likewise before);
-         see the ordering argument in Decision_cache. *)
+    | Some cache -> (
+      (* All three generations are read before the lookup, and a miss
+         is filed under them: see the ordering argument in
+         Decision_cache. *)
+      let meta_generation = Meta.generation meta in
       let db_generation = Principal.Db.generation monitor.db in
       let policy_generation = Atomic.get monitor.policy_epoch in
-      if Trace.active span then begin
-        (* A hit skips [evaluate], so the compute closure is the only
-           witness of a miss; the closure allocates regardless, so the
-           flag costs nothing the traced path was not already paying. *)
-        let missed = ref false in
-        let decision =
-          Decision_cache.memoize cache ~subject ~meta ~mode ~db_generation
-            ~policy_generation (fun () ->
-              missed := true;
-              evaluate monitor ~span ~subject ~meta ~mode)
-        in
-        Trace.annotate span "cache" (if !missed then "miss" else "hit");
+      match
+        Decision_cache.lookup cache ~subject ~meta ~mode ~meta_generation ~db_generation
+          ~policy_generation
+      with
+      | Some decision ->
+        if Trace.active span then Trace.annotate span "cache" "hit";
         decision
-      end
-      else
-        Decision_cache.memoize cache ~subject ~meta ~mode ~db_generation
-          ~policy_generation (fun () -> evaluate monitor ~span ~subject ~meta ~mode)
+      | None ->
+        if Trace.active span then Trace.annotate span "cache" "miss";
+        let decision = evaluate monitor ~span ~subject ~meta ~mode in
+        Decision_cache.store cache ~subject ~meta ~mode ~meta_generation ~db_generation
+          ~policy_generation decision;
+        decision)
   in
   Metrics.stop_timing m_decide_ns t0;
   (match decision with

@@ -20,13 +20,13 @@ val create :
   ?cache_capacity:int -> ?cache_shards:int -> Principal.Db.t -> t
 (** A monitor over the given principal database.  [policy] defaults to
     {!Policy.default}.  [cache] (default [true]) memoizes decisions in
-    a bounded {!Decision_cache} of [cache_capacity] (default 8192)
-    entries split into [cache_shards] independently locked shards
-    (default: the recognized domain count), invalidated by
-    metadata/membership/policy generation counters — see
-    {!Decision_cache} for the soundness argument.
+    a {!Decision_cache} of [cache_capacity] (default 8192) entries
+    split into [cache_shards] shards (default: the recognized domain
+    count), invalidated by metadata/membership/policy generation
+    counters — see {!Decision_cache} for the soundness argument.
     [audit_capacity]/[audit_shards] size the sharded audit pipeline
-    ({!Audit.create}).
+    ({!Audit.create}).  Creating a monitor allocates no cache table or
+    audit ring; each shard allocates its own on first use.
 
     Discretionary decisions run on the compiled ACL path: each
     object's ACL is compiled to flat mode-mask arrays over interned
@@ -34,12 +34,20 @@ val create :
     invalidated by the same generation counters; the uncached grant
     path allocates nothing.
 
-    The monitor is safe to share across OCaml 5 domains: the decision
-    cache takes one per-shard lock per lookup, the audit pipeline one
-    per-shard mutex per record, and the generation counters are atomic
-    with a data-then-generation publication order (DESIGN.md,
-    "Concurrency model").  Registering {e new} principals or groups in
-    the database remains a setup-time operation. *)
+    The monitor is safe to share across OCaml 5 domains:
+    - the decision cache and the audit log each pick their shard by
+      the calling domain ([Domain.self () mod shards]), so domains on
+      different shards share no lock;
+    - a shard's mutex is held only for one slot probe, one slot write
+      or one audit record, never while a decision is evaluated;
+    - each cache shard is a direct-mapped table: a new key evicts
+      whatever other key held its slot;
+    - the generation counters are atomic with a data-then-generation
+      publication order (DESIGN.md, "Concurrency model").
+
+    A granted {!check} allocates nothing, on a cache hit or without a
+    cache.  Registering {e new} principals or groups in the database
+    remains a setup-time operation. *)
 
 val db : t -> Principal.Db.t
 val policy : t -> Policy.t

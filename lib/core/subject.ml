@@ -9,6 +9,11 @@ type t = {
 let make ?ceiling ?(trusted = false) ?integrity principal clearance =
   { principal; clearance; ceiling; trusted; integrity }
 
+let placeholder =
+  make
+    (Principal.individual "placeholder")
+    (Security_class.bottom (Level.hierarchy [ "placeholder" ]) (Category.universe []))
+
 let is_trusted subject = subject.trusted
 let integrity subject = subject.integrity
 let principal subject = subject.principal

@@ -21,6 +21,13 @@ val make :
     control.  Only the kernel's own administrative threads should be
     trusted. *)
 
+val placeholder : t
+(** An untrusted subject of a one-level lattice, for filling storage
+    before its first real entry (the decision cache's and the audit
+    log's columns).  It exists from start-up, so an array filled with
+    it does not make [Array.make] force a minor collection, as a young
+    filler would. *)
+
 val is_trusted : t -> bool
 
 val integrity : t -> Security_class.t option

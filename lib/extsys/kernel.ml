@@ -82,11 +82,11 @@ type t = {
   admin : Principal.individual;
   registry : Clearance.t option;
   mutable next_thread_id : int;
-  loaded : (string, Extension.t * Path.t list) Hashtbl.t;
+  loaded : (Extension.t * Path.t list) Smap.t Atomic.t;
   certificates : Exsec_analysis.Certificate.t Smap.t Atomic.t;
-      (* read by [call] on worker domains, so the table is an immutable
-         map replaced by compare-and-set (as in Quota), never mutated
-         in place *)
+      (* [loaded] and [certificates] are read on worker domains
+         (/svc/introspect, [call]), so each is an immutable map replaced
+         by compare-and-set (as in Quota), never mutated in place *)
   quota : Quota.t;
   handles : grant Handle.t;
   cert_epoch : int Atomic.t;
@@ -158,7 +158,7 @@ let boot ?policy ?audit_capacity ?audit_shards ?cache ?cache_capacity ?registry 
       admin;
       registry;
       next_thread_id = 0;
-      loaded = Hashtbl.create 8;
+      loaded = Atomic.make Smap.empty;
       certificates = Atomic.make Smap.empty;
       quota = Quota.create ();
       handles = Handle.create ();
@@ -568,27 +568,27 @@ let run ?max_quanta kernel = Sched.run ?max_quanta kernel.sched
 
 (* {1 Loaded-extension registry} *)
 
-let note_loaded kernel extension ~installed =
-  Hashtbl.replace kernel.loaded extension.Extension.ext_name (extension, installed)
-
 (* Returns the table this update replaced.  [Smap.remove] of an absent
    key returns its argument unchanged, which skips the CAS. *)
-let rec update_certificates kernel f =
-  let before = Atomic.get kernel.certificates in
+let rec update table f =
+  let before = Atomic.get table in
   let after = f before in
-  if after == before || Atomic.compare_and_set kernel.certificates before after then
-    before
-  else update_certificates kernel f
+  if after == before || Atomic.compare_and_set table before after then before
+  else update table f
+
+let note_loaded kernel extension ~installed =
+  ignore
+    (update kernel.loaded (Smap.add extension.Extension.ext_name (extension, installed)))
 
 let forget_loaded kernel name =
-  Hashtbl.remove kernel.loaded name;
-  ignore (update_certificates kernel (Smap.remove name));
+  ignore (update kernel.loaded (Smap.remove name));
+  ignore (update kernel.certificates (Smap.remove name));
   (* Capability revocation: every handle the extension held dies with
      it — a recycled slot can never satisfy the old handle (stamp
      mismatch), so use-after-unload is a deterministic denial. *)
   ignore (close_handles_for kernel name)
 
-let find_loaded kernel name = Hashtbl.find_opt kernel.loaded name
+let find_loaded kernel name = Smap.find_opt name (Atomic.get kernel.loaded)
 
 (* {1 Certificate lifecycle} *)
 
@@ -597,7 +597,7 @@ let note_certificate kernel certificate =
   if certificate.Exsec_analysis.Certificate.delegation <> None then
     Metrics.incr m_cert_delegations;
   ignore
-    (update_certificates kernel
+    (update kernel.certificates
        (Smap.add certificate.Exsec_analysis.Certificate.extension certificate))
 
 (* Retiring a certificate must also retire the handles minted on its
@@ -607,7 +607,7 @@ let note_certificate kernel certificate =
    the checked path keep their independent justification and stay.
    [true] when this call removed the certificate. *)
 let drop_certificate kernel name =
-  let before = update_certificates kernel (Smap.remove name) in
+  let before = update kernel.certificates (Smap.remove name) in
   ignore
     (Handle.close_where kernel.handles (fun g ->
          g.g_cert && String.equal g.g_caller name));
@@ -681,7 +681,7 @@ let delegate_certificate kernel ~parent ?cap ?profile ~extension ~imports () =
         Ok certificate))
 
 let loaded_extensions kernel =
-  Hashtbl.fold (fun name _ acc -> name :: acc) kernel.loaded [] |> List.sort String.compare
+  List.map fst (Smap.bindings (Atomic.get kernel.loaded))
 
 (* {1 Call-graph extraction} *)
 
@@ -693,7 +693,9 @@ let call_graph ?(extra = []) kernel =
     | None -> []
     | Some nodes -> List.map Namespace.meta nodes
   in
-  let exts = Hashtbl.fold (fun _ (ext, _) acc -> ext :: acc) kernel.loaded [] @ extra in
+  let exts =
+    Smap.fold (fun _ (ext, _) acc -> ext :: acc) (Atomic.get kernel.loaded) [] @ extra
+  in
   let edges = ref [] in
   let add edge = edges := edge :: !edges in
   List.iter

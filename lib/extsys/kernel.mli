@@ -238,6 +238,9 @@ val forget_loaded : t -> string -> unit
 
 val find_loaded : t -> string -> (Extension.t * Path.t list) option
 val loaded_extensions : t -> string list
+(** In name order.  The registry is an immutable map replaced by
+    compare-and-set, so any domain may read it while another links or
+    unloads. *)
 
 (** {1 Certificate lifecycle} (certificates issued by {!Linker})
 

@@ -287,10 +287,75 @@ let test_policy_pp () =
   Alcotest.(check string) "default flags"
     "{dac=true; mac=true; integrity=true; overwrite=strict; recheck_calls=false}" text
 
+(* {1 Allocation pins}
+
+   As in test_acl_compiled: the boxes [Gc.minor_words] itself
+   allocates are identical between the empty baseline and the measured
+   run, so equality of the two deltas means the measured loop
+   allocated exactly zero words.  Each loop runs once first, so the
+   cache table and the audit columns exist before measuring. *)
+
+let minor_delta f =
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before
+
+let pin name run =
+  run ();
+  let baseline = minor_delta (fun () -> ()) in
+  let measured = minor_delta run in
+  Alcotest.(check (float 0.)) name baseline measured
+
+let granted_check monitor =
+  let hierarchy, universe, _, alice, _ = setup () in
+  let klass = cls hierarchy universe "low" [] in
+  let subject = Subject.make alice klass in
+  let meta =
+    Meta.make ~owner:alice
+      ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ])
+      klass
+  in
+  check "the pinned check is granted" true
+    (Decision.is_granted
+       (Reference_monitor.check monitor ~subject ~meta ~object_name:"o" ~mode:Access_mode.Read));
+  fun () ->
+    for _ = 1 to 10_000 do
+      ignore
+        (Reference_monitor.check monitor ~subject ~meta ~object_name:"o"
+           ~mode:Access_mode.Read)
+    done
+
+let test_cached_hit_allocates_nothing () =
+  let _, _, db, _, _ = setup () in
+  pin "warm-hit check words" (granted_check (Reference_monitor.create db))
+
+let test_uncached_grant_allocates_nothing () =
+  let _, _, db, _, _ = setup () in
+  pin "uncached granted check words"
+    (granted_check (Reference_monitor.create ~cache:false db))
+
+let test_audit_record_allocates_nothing () =
+  let hierarchy, universe, _, alice, _ = setup () in
+  let klass = cls hierarchy universe "high" [] in
+  let subject = Subject.make alice klass in
+  let log = Audit.create ~capacity:64 () in
+  pin "record words" (fun () ->
+      for i = 1 to 10_000 do
+        Audit.record log ~subject ~object_name:"o" ~object_id:i ~object_class:klass
+          ~mode:Access_mode.Read Decision.Granted
+      done)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "audit exact capacity" `Quick test_audit_exact_capacity;
       Alcotest.test_case "decision equal" `Quick test_decision_equal;
       Alcotest.test_case "policy pp" `Quick test_policy_pp;
+      Alcotest.test_case "warm-hit check allocates nothing" `Quick
+        test_cached_hit_allocates_nothing;
+      Alcotest.test_case "uncached grant allocates nothing" `Quick
+        test_uncached_grant_allocates_nothing;
+      Alcotest.test_case "audit record allocates nothing" `Quick
+        test_audit_record_allocates_nothing;
     ]

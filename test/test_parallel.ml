@@ -50,17 +50,16 @@ let readers = 4
 let rounds = 40
 let mutations_per_round = 20
 
-let test_stress_readers_vs_mutator () =
+let stress_readers_vs_mutator ~cache_shards =
   let rng = Prng.create ~seed:1997 in
   let env =
     Opstream.environment rng ~individuals:16 ~groups:4 ~subjects:12 ~objects:24
       ~levels:3 ~categories:3
   in
   (* Small capacity so concurrent eviction runs alongside concurrent
-     invalidation; one shard per reader. *)
+     invalidation. *)
   let monitor =
-    Reference_monitor.create ~cache:true ~cache_capacity:64 ~cache_shards:readers
-      env.Opstream.db
+    Reference_monitor.create ~cache:true ~cache_capacity:64 ~cache_shards env.Opstream.db
   in
   (* The barrier object and its observer live outside the generated
      environment, so its only mutations are the mutator's revocations:
@@ -172,11 +171,17 @@ let test_stress_readers_vs_mutator () =
       (stats.Decision_cache.hits + stats.Decision_cache.misses);
     check "size within capacity" true
       (stats.Decision_cache.size <= stats.Decision_cache.capacity);
-    Alcotest.(check int) "shard count as configured" readers stats.Decision_cache.shards);
+    Alcotest.(check int) "shard count as configured" cache_shards stats.Decision_cache.shards);
   let audit = Reference_monitor.audit monitor in
   Alcotest.(check int)
     "audit granted + denied = checks" total_checks
     (Audit.granted_total audit + Audit.denied_total audit)
+
+(* At 1, 2 and 8 shards, so that whether readers share a shard — and
+   race each other's stores between lookup and evaluation — does not
+   depend on the host's core count or on domain ids. *)
+let test_stress_readers_vs_mutator () =
+  List.iter (fun cache_shards -> stress_readers_vs_mutator ~cache_shards) [ 1; 2; 8 ]
 
 (* {1 Capability handles under parallel callers and a mutator}
 
@@ -398,6 +403,91 @@ let audit_totals_with ~shards =
 
 let test_audit_totals_parallel () = List.iter (fun shards -> audit_totals_with ~shards) [ 1; 2; 8 ]
 
+(* {1 Audit tails read while domains record}
+
+   Two domains record while a third reads [Audit.tail] in a loop.
+   Every event read must be untorn — its name, subject and decision
+   are the ones recorded with its object id — and every tail must be
+   strictly increasing in seq.  Run at 1, 2 and 8 shards: at 1 the
+   recorders share a shard, at 2 and 8 that depends on their domain
+   ids. *)
+
+let tail_race_with ~shards =
+  let recorders = 2 in
+  let per_recorder = 100_000 in
+  let audit = Audit.create ~capacity:256 ~shards () in
+  let bottom =
+    Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
+  in
+  let subjects =
+    Array.init recorders (fun r ->
+        Subject.make (Principal.individual (Printf.sprintf "recorder%d" r)) bottom)
+  in
+  let names = Array.init (recorders * per_recorder) (Printf.sprintf "o%d") in
+  let decision_of id =
+    if id land 1 = 0 then Decision.Granted else Decision.Denied Decision.Dac_no_entry
+  in
+  let acks = Array.init (recorders + 1) (fun _ -> Atomic.make 0) in
+  let recording = Atomic.make recorders in
+  (* Every domain starts work only once all three run, so recording and
+     reading overlap instead of following each other's spawn. *)
+  let ready = Atomic.make 0 in
+  let start_gate () =
+    Atomic.incr ready;
+    let deadline = Unix.gettimeofday () +. ack_deadline_s in
+    while Atomic.get ready < recorders + 1 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let recorder r () =
+    start_gate ();
+    for i = 0 to per_recorder - 1 do
+      let id = (r * per_recorder) + i in
+      Audit.record audit ~subject:subjects.(r) ~object_name:names.(id) ~object_id:id
+        ~object_class:bottom ~mode:Access_mode.Read (decision_of id)
+    done;
+    Atomic.decr recording;
+    Atomic.set acks.(r) 1
+  in
+  let tails = ref 0 and torn = ref 0 and unordered = ref 0 in
+  let untorn (e : Audit.event) =
+    let id = e.Audit.object_id in
+    id >= 0
+    && id < Array.length names
+    && e.Audit.object_name == names.(id)
+    && e.Audit.subject == subjects.(id / per_recorder)
+    && Decision.equal e.Audit.decision (decision_of id)
+  in
+  let rec increasing = function
+    | (a : Audit.event) :: (b :: _ as rest) -> a.Audit.seq < b.Audit.seq && increasing rest
+    | [ _ ] | [] -> true
+  in
+  let tailer () =
+    start_gate ();
+    let continue = ref true in
+    while !continue do
+      continue := Atomic.get recording > 0;
+      let events = Audit.tail audit ~count:64 in
+      incr tails;
+      if not (List.for_all untorn events) then incr torn;
+      if not (increasing events) then incr unordered
+    done;
+    Atomic.set acks.(recorders) 1
+  in
+  let domains =
+    Domain.spawn tailer :: List.init recorders (fun r -> Domain.spawn (recorder r))
+  in
+  await_acks ~what:"domain" acks 1;
+  List.iter Domain.join domains;
+  Alcotest.(check int) (Printf.sprintf "%d shards: tails with a torn event" shards) 0 !torn;
+  Alcotest.(check int)
+    (Printf.sprintf "%d shards: tails out of seq order" shards)
+    0 !unordered;
+  check "the tailer ran" true (!tails > 0);
+  Alcotest.(check int) "every record counted" (recorders * per_recorder) (Audit.total audit)
+
+let test_audit_tail_race () = List.iter (fun shards -> tail_race_with ~shards) [ 1; 2; 8 ]
+
 (* {1 Directories under concurrent mutation}
 
    Two inserter domains add the same names to one directory while a
@@ -553,5 +643,6 @@ let suite =
       test_fresh_ids_unique_across_domains;
     Alcotest.test_case "audit totals conserved across domains" `Quick
       test_audit_totals_parallel;
+    Alcotest.test_case "audit tails race recorders" `Quick test_audit_tail_race;
     Alcotest.test_case "directory inserts race a resolver" `Quick test_directory_mutation;
   ]
